@@ -101,6 +101,48 @@ chainTopology(double feature_nj, double svm_nj, double fusion_nj,
     return mini.build(z);
 }
 
+/**
+ * A fan-out engine: the source feeds two feature cells (one shared
+ * broadcast payload), each feature feeds its own SVM over payloads
+ * of different widths, and both SVMs feed the fusion cell.
+ * Feature a also feeds SVM b, so one producer owns two broadcast
+ * groups.
+ */
+inline EngineTopology
+fanOutTopology(size_t source_bits = 2048)
+{
+    MiniTopology mini(source_bits);
+    CellSpec spec;
+    spec.name = "feature_a";
+    spec.sensorNj = 300.0;
+    spec.sensorUs = 120.0;
+    const size_t fa = mini.addCell(spec, ComponentKind::Var);
+    spec.name = "feature_b";
+    spec.sensorNj = 80.0;
+    spec.sensorUs = 40.0;
+    const size_t fb = mini.addCell(spec, ComponentKind::Mean);
+    spec.name = "svm_a";
+    spec.sensorNj = 900.0;
+    spec.sensorUs = 300.0;
+    const size_t sa = mini.addCell(spec, ComponentKind::Svm);
+    spec.name = "svm_b";
+    spec.sensorNj = 450.0;
+    spec.sensorUs = 150.0;
+    const size_t sb = mini.addCell(spec, ComponentKind::Svm);
+    spec.name = "fusion";
+    spec.sensorNj = 20.0;
+    spec.sensorUs = 10.0;
+    const size_t z = mini.addCell(spec, ComponentKind::Fusion);
+    mini.connect(DataflowGraph::sourceId, fa);
+    mini.connect(DataflowGraph::sourceId, fb);
+    mini.connect(fa, sa, 256);
+    mini.connect(fa, sb, 64);
+    mini.connect(fb, sb, 64);
+    mini.connect(sa, z);
+    mini.connect(sb, z);
+    return mini.build(z);
+}
+
 } // namespace xpro::test
 
 #endif // XPRO_TESTS_TOPOLOGY_FIXTURES_HH
