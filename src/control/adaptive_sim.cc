@@ -1,11 +1,11 @@
 #include "control/adaptive_sim.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
-#include <memory>
-#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -64,29 +64,25 @@ placementStandby(const EngineTopology &topology,
 }
 
 /**
- * Memo key of one window outcome. A lossy window's loss sequence is
- * seeded by its schedule slot, so the slot (plus the duty level,
- * which fixes the event count) identifies the outcome. An ideal
- * window has no seed at all — its outcome is a pure function of the
- * offered rate and the sampled event count, so every ideal window
- * at the same operating point shares one entry ("i:" keys), which
- * collapses the first trace pass to one simulation per operating
- * point instead of one per window.
+ * Memo key of one window outcome under a fixed placement. A lossy
+ * window's loss sequence is seeded by its schedule slot, so the slot
+ * (plus the duty level, which fixes the event count) identifies the
+ * outcome. An ideal window has no seed at all — its outcome is a
+ * pure function of the offered rate and the sampled event count, so
+ * every ideal window at the same operating point shares one entry,
+ * which collapses the first trace pass to one simulation per
+ * operating point instead of one per window. The rate is compared
+ * by its bits: equal bits, equal double.
  */
-std::string
-memoKey(size_t slot, bool ideal, double rate, size_t sampled,
-        const Placement &placement, size_t duty)
+using WindowKey = std::tuple<bool, uint64_t, uint64_t>;
+
+WindowKey
+windowKey(size_t slot, bool ideal, double rate, size_t sampled,
+          size_t duty)
 {
-    char head[64];
     if (ideal)
-        std::snprintf(head, sizeof(head), "i:%.17g:%zu:", rate,
-                      sampled);
-    else
-        std::snprintf(head, sizeof(head), "%zu:%zu:", slot, duty);
-    std::string key = head;
-    for (size_t u = 1; u < placement.size(); ++u)
-        key += placement.inSensor(u) ? '1' : '0';
-    return key;
+        return {true, std::bit_cast<uint64_t>(rate), sampled};
+    return {false, slot, duty};
 }
 
 /**
@@ -112,8 +108,12 @@ struct WindowedRun
     /** Handover energy adopted at the previous boundary, charged
      *  with the next window's drain. */
     Energy pendingHandover;
-    /** Window outcomes keyed by (slot, placement, duty). */
-    std::map<std::string, StreamResult> memo;
+    /** Window outcomes, one table per placement seen. */
+    std::map<std::vector<bool>, std::map<WindowKey, StreamResult>>
+        memo;
+    /** The active placement's table (placements change only at
+     *  adopted handovers). */
+    std::map<WindowKey, StreamResult> *placementMemo = nullptr;
 
     // Aggregates across windows.
     StreamResult total;
@@ -134,6 +134,10 @@ struct WindowedRun
     {
         placement = next;
         standby = placementStandby(topology, placement);
+        std::vector<bool> cells(placement.size());
+        for (size_t u = 1; u < placement.size(); ++u)
+            cells[u] = placement.inSensor(u);
+        placementMemo = &memo[std::move(cells)];
     }
 
     /** Play one control window; returns false once depleted. */
@@ -162,12 +166,11 @@ WindowedRun::step(size_t slot, const ControlWindow &window)
                       : events;
         scale = static_cast<double>(events) /
                 static_cast<double>(sampled);
-        const std::string key =
-            memoKey(slot, window.idealChannel(), rate, sampled,
-                    placement,
-                    controller ? controller->dutyLevel() : 0);
-        auto hit = memo.find(key);
-        if (hit == memo.end()) {
+        const WindowKey key =
+            windowKey(slot, window.idealChannel(), rate, sampled,
+                      controller ? controller->dutyLevel() : 0);
+        auto hit = placementMemo->find(key);
+        if (hit == placementMemo->end()) {
             StreamResult fresh;
             if (window.idealChannel()) {
                 fresh = simulateStream(topology, placement, link,
@@ -178,7 +181,7 @@ WindowedRun::step(size_t slot, const ControlWindow &window)
                     windowFaultProfile(config.faults, window.channel,
                                        slot));
             }
-            hit = memo.emplace(key, std::move(fresh)).first;
+            hit = placementMemo->emplace(key, std::move(fresh)).first;
         }
         window_stream = &hit->second;
     }

@@ -223,6 +223,10 @@ void
 XProGenerator::setTransferEnergyScale(double scale)
 {
     xproAssert(scale > 0.0, "non-positive transfer scale %f", scale);
+    // The edge prices are a pure function of the scale: an unchanged
+    // scale (the controller re-sends it every window) is a no-op.
+    if (scale == _transferScale)
+        return;
     _transferScale = scale;
     if (_sweep)
         applyTransferScale();
@@ -234,6 +238,8 @@ XProGenerator::setEventRate(double events_per_second)
     xproAssert(events_per_second > 0.0,
                "event rate must be positive, got %f",
                events_per_second);
+    if (events_per_second == _eventsPerSecond)
+        return;
     _eventsPerSecond = events_per_second;
     if (_sweep)
         applyEventRate();

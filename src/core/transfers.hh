@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/placement.hh"
 #include "core/topology.hh"
 
 namespace xpro
@@ -35,6 +36,41 @@ struct BroadcastGroup
 /** All broadcast groups of a topology, source node included. */
 std::vector<BroadcastGroup>
 broadcastGroups(const EngineTopology &topology);
+
+/**
+ * The broadcast groups of one placed engine, indexed by producer.
+ * Each group's consumers are split by end relative to the producer
+ * (same end: delivered in place; other end: one radio payload),
+ * keeping the group's consumer order within each list. Static under
+ * a fixed placement, so a simulator builds it once per run.
+ */
+class PlacedGroups
+{
+  public:
+    PlacedGroups(const EngineTopology &topology,
+                 const Placement &placement);
+
+    size_t size() const { return _groups.size(); }
+    const BroadcastGroup &group(size_t g) const { return _groups[g]; }
+
+    /** Producer @p u's groups are [first(u), first(u + 1)). */
+    size_t first(size_t u) const { return _first[u]; }
+
+    const std::vector<size_t> &sameEnd(size_t g) const
+    {
+        return _sameEnd[g];
+    }
+    const std::vector<size_t> &otherEnd(size_t g) const
+    {
+        return _otherEnd[g];
+    }
+
+  private:
+    std::vector<BroadcastGroup> _groups;
+    std::vector<size_t> _first;
+    std::vector<std::vector<size_t>> _sameEnd;
+    std::vector<std::vector<size_t>> _otherEnd;
+};
 
 } // namespace xpro
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <span>
 
 #include "common/arena.hh"
 #include "common/logging.hh"
@@ -79,9 +80,32 @@ designFleet(const std::vector<FleetNodeSpec> &specs,
 namespace
 {
 
+/** Event kinds of the detailed fleet simulator (SimEvent::kind).
+ *  Payload "mk" is m * eventsPerNode + k. */
+enum Kind : uint32_t
+{
+    kInject,         ///< raw segment acquired; payload mk
+    kFinishNode,     ///< payload mk * maxGraphNodes + u
+    kRadioWake,      ///< re-arbitrate the shared radio
+    kRadioDone,      ///< the radio's current job left the air
+    kCpuDone,        ///< the aggregator CPU's current job finished
+    kDeliverGroup,   ///< fault-free payload landed; mk * maxGroups + g
+    kLegacyResult,   ///< fault-free result landed; payload mk
+    kLocalResult,    ///< local fallback classified; payload mk
+    kProbeTimer,     ///< recovery probe due; payload m
+    kArqAttempt,     ///< next ARQ attempt; payload slot
+    kArqChannelDone, ///< an ARQ attempt left the air; payload slot
+    // ARQ outcomes (ArqPacket::onSettled), run with the outcome.
+    kPayloadSettled, ///< mk * maxGroups + g
+    kResultSettled,  ///< payload mk
+    kReplaySettled,  ///< payload mk
+    kProbeSettled,   ///< payload m
+};
+
 /**
  * The shared half-duplex channel: queues transfer requests from all
  * members and serves them one at a time under the arbiter's policy.
+ * Each request carries the host's event to dispatch when it ends.
  */
 class SharedRadio
 {
@@ -96,24 +120,36 @@ class SharedRadio
         _requests.reserve(16);
     }
 
-    /** Queue a transfer for @p node; @p on_delivered fires when the
-     *  payload lands on the other end. */
-    void
-    request(size_t node, const TransferCost &cost,
-            EventQueue::Handler on_delivered)
-    {
-        occupy(node, cost.airTime, std::move(on_delivered));
-    }
-
     /** Queue one channel occupation (a single ARQ attempt, or one
      *  expectation-folded transfer) of length @p air for @p node. */
     void
-    occupy(size_t node, Time air, EventQueue::Handler on_done)
+    occupy(size_t node, Time air, SimEvent on_done)
     {
-        Pending pending;
-        pending.request = {node, _nextSequence++, _queue.now(), air};
-        pending.onDelivered = std::move(on_done);
-        _pending.push_back(std::move(pending));
+        _pending.push(
+            {{node, _nextSequence++, _queue.now(), air}, on_done});
+        arbitrate();
+    }
+
+    /** A wakeup armed by arbitrate() fired (kRadioWake). */
+    void
+    wake()
+    {
+        // The wakeup fires at exactly the time it was armed for; a
+        // newer, earlier wakeup may have replaced it meanwhile.
+        if (_wakeupArmed && _wakeupAt == _queue.now())
+            _wakeupArmed = false;
+        arbitrate();
+    }
+
+    /** The current job left the air (kRadioDone): returns its
+     *  continuation. The host dispatches it — new requests queue up
+     *  behind the busy channel — then calls release(). */
+    SimEvent finish() const { return _current.onDone; }
+
+    void
+    release()
+    {
+        _busy = false;
         arbitrate();
     }
 
@@ -121,7 +157,7 @@ class SharedRadio
     struct Pending
     {
         RadioRequest request;
-        EventQueue::Handler onDelivered;
+        SimEvent onDone;
     };
 
     void
@@ -133,8 +169,8 @@ class SharedRadio
         // Member scratch, not a local: the capacity survives across
         // arbitrations so the steady-state loop never allocates.
         _requests.clear();
-        for (const Pending &pending : _pending)
-            _requests.push_back(pending.request);
+        for (size_t i = 0; i < _pending.size(); ++i)
+            _requests.push_back(_pending[i].request);
 
         Time start;
         const size_t chosen =
@@ -153,32 +189,16 @@ class SharedRadio
             if (!_wakeupArmed || start < _wakeupAt) {
                 _wakeupArmed = true;
                 _wakeupAt = start;
-                _queue.schedule(start, [this, start]() {
-                    if (_wakeupArmed && _wakeupAt == start)
-                        _wakeupArmed = false;
-                    arbitrate();
-                });
+                _queue.schedule(start, {kRadioWake});
             }
             return;
         }
 
         _busy = true;
-        _current = std::move(_pending[chosen]);
-        _pending.erase(_pending.begin() +
-                       static_cast<ptrdiff_t>(chosen));
+        _current = _pending.take(chosen);
         _result.radioBusy += _current.request.airTime;
         ++_result.transfers;
-        // The in-flight job lives in _current (there is at most one:
-        // _busy gates arbitration) so the completion capture is just
-        // `this` — small enough for std::function's inline storage,
-        // keeping the steady-state loop allocation-free. Move the
-        // job to a local first: the handler may queue new transfers.
-        _queue.scheduleAfter(_current.request.airTime, [this]() {
-            Pending job = std::move(_current);
-            job.onDelivered();
-            _busy = false;
-            arbitrate();
-        });
+        _queue.scheduleAfter(_current.request.airTime, {kRadioDone});
     }
 
     EventQueue &_queue;
@@ -187,7 +207,7 @@ class SharedRadio
     bool _busy = false;
     bool _wakeupArmed = false;
     Time _wakeupAt;
-    std::vector<Pending> _pending;
+    HeadFifo<Pending> _pending;
     std::vector<RadioRequest> _requests; // arbitrate() scratch
     Pending _current;                    // the one in-flight job
     uint64_t _nextSequence = 0;
@@ -206,22 +226,20 @@ class CpuServer
         _backlog.reserve(16);
     }
 
-    /** Run a software job of length @p exec; @p done fires at its
-     *  completion. */
+    /** Run a software job of length @p exec; @p done is dispatched
+     *  at its completion. */
     void
-    submit(Time exec, EventQueue::Handler done)
+    submit(Time exec, SimEvent done)
     {
-        _backlog.push_back({exec, std::move(done)});
+        _backlog.push({exec, done});
         if (!_busy)
             startNext();
     }
 
-  private:
-    struct Job
-    {
-        Time exec;
-        EventQueue::Handler done;
-    };
+    /** The running job finished (kCpuDone): returns its
+     *  continuation. The host dispatches it, then calls
+     *  startNext(). */
+    SimEvent finish() const { return _current.done; }
 
     void
     startNext()
@@ -231,24 +249,22 @@ class CpuServer
             return;
         }
         _busy = true;
-        _current = std::move(_backlog.front());
-        _backlog.erase(_backlog.begin());
+        _current = _backlog.take();
         _result.aggregatorBusy += _current.exec;
-        // As in SharedRadio: the running job lives in _current so the
-        // completion capture stays within std::function's inline
-        // storage (no heap). Move out before invoking — the handler
-        // may submit new jobs.
-        _queue.scheduleAfter(_current.exec, [this]() {
-            Job job = std::move(_current);
-            job.done();
-            startNext();
-        });
+        _queue.scheduleAfter(_current.exec, {kCpuDone});
     }
+
+  private:
+    struct Job
+    {
+        Time exec;
+        SimEvent done;
+    };
 
     EventQueue &_queue;
     FleetSimResult &_result;
     bool _busy = false;
-    std::vector<Job> _backlog;
+    HeadFifo<Job> _backlog;
     Job _current; // the one running job
 };
 
@@ -285,10 +301,10 @@ class FleetSimulator
         xproAssert(events_per_node > 0, "need at least one event");
 
         if (faults && faults->enabled)
-            _faults.emplace(*faults);
+            _arq.emplace(*faults, link, _queue, nullptr, kArqAttempt);
         if (node_outages)
             _nodeOutages = *node_outages;
-        xproAssert(_nodeOutages.empty() || _faults.has_value(),
+        xproAssert(_nodeOutages.empty() || _arq.has_value(),
                    "node outages need the fault machinery enabled");
         for (const NodeOutage &outage : _nodeOutages) {
             xproAssert(outage.node < members.size(),
@@ -300,42 +316,19 @@ class FleetSimulator
         for (const FleetMember &member : members) {
             xproAssert(member.eventsPerSecond > 0.0,
                        "event rate must be positive");
-            Member state;
-            state.spec = &member;
-            state.groups = broadcastGroups(member.topology);
-            // Same-end / other-end consumer splits are static under
-            // a fixed placement: computing them once (in consumer
-            // order) keeps finishNode free of per-event vectors.
-            state.splits.reserve(state.groups.size());
-            for (const BroadcastGroup &group : state.groups) {
-                GroupSplit split;
-                for (size_t v : group.consumers) {
-                    if (member.placement.inSensor(v) ==
-                        member.placement.inSensor(group.producer))
-                        split.sameEnd.push_back(v);
-                    else
-                        split.otherEnd.push_back(v);
-                }
-                state.splits.push_back(std::move(split));
-            }
+            Member state(member);
             state.instances.resize(events_per_node);
             const DataflowGraph &graph = member.topology.graph;
-            // Flat per-(event, node) dataflow state, as in the
-            // single-node simulator: the setup's allocation count
-            // stays independent of events_per_node (checked by the
-            // counting-allocator tests). sensorFinishAt is per
-            // instance but fault-path-only, which is exempt from the
-            // zero-allocation claim.
+            // Struct-of-arrays: the per-(event, node) state of all
+            // members shares one arena, so a member's dataflow state
+            // costs a few pointers instead of heap vectors and the
+            // setup's allocation count stays independent of both
+            // fleet size and events_per_node (until the arena block
+            // size is exceeded, at which point the arena grows in
+            // fixed blocks — still a constant number of heap
+            // allocations for a fixed workload shape).
             const size_t nodes = graph.nodeCount();
             state.graphNodes = nodes;
-            // Struct-of-arrays: the per-(event, node) counters of
-            // all members share one arena, so a member's dataflow
-            // state costs two pointers instead of two heap vectors
-            // and the slab count stays independent of both fleet
-            // size and events_per_node (until the arena block size
-            // is exceeded, at which point the arena grows in fixed
-            // blocks — still a constant number of heap allocations
-            // for a fixed workload shape).
             const size_t cells = events_per_node * nodes;
             state.inputsPending = _stateArena.alloc<size_t>(cells);
             state.done = _stateArena.alloc<uint8_t>(cells);
@@ -348,24 +341,23 @@ class FleetSimulator
                         graph.predecessors(v).size();
                 }
             }
-            if (_faults) {
-                for (Instance &instance : state.instances) {
-                    instance.sensorFinishAt.assign(nodes,
-                                                   std::nullopt);
-                }
+            if (_arq) {
+                state.fallback.emplace(member.topology,
+                                       member.placement);
+                state.sensorFinishAt =
+                    _stateArena.alloc<std::optional<Time>>(cells);
+                std::uninitialized_fill_n(state.sensorFinishAt, cells,
+                                          std::nullopt);
             }
-            _maxGraphNodes =
-                std::max(_maxGraphNodes, graph.nodeCount());
-            _maxGroups =
-                std::max(_maxGroups, state.groups.size());
+            _maxGraphNodes = std::max(_maxGraphNodes, nodes);
+            _maxGroups = std::max(_maxGroups, state.groups.size());
             _members.push_back(std::move(state));
         }
         // Strides for packing (member, event, node/group) into one
-        // word so completion captures fit std::function's inline
-        // storage (the steady-state loop must not allocate).
+        // event payload.
         _maxGraphNodes = std::max<size_t>(_maxGraphNodes, 1);
         _maxGroups = std::max<size_t>(_maxGroups, 1);
-        _queue.reserve(members.size() * events_per_node + 64);
+        _queue.reserve(members.size() * events_per_node, 64);
     }
 
     FleetSimResult
@@ -375,19 +367,16 @@ class FleetSimulator
             const Time period = Time::seconds(
                 1.0 / _members[m].spec->eventsPerSecond);
             for (size_t k = 0; k < _eventsPerNode; ++k) {
-                _queue.schedule(
-                    period * static_cast<double>(k),
-                    [this, packed = m * _eventsPerNode + k]() {
-                        completeNode(packed / _eventsPerNode,
-                                     packed % _eventsPerNode,
-                                     DataflowGraph::sourceId);
-                    });
+                _queue.preload(period * static_cast<double>(k),
+                               {kInject, m * _eventsPerNode + k});
             }
         }
-        _queue.runAll(4000000);
+        _queue.runAll(
+            [this](const SimEvent &event) { dispatch(event); },
+            4000000);
 
-        if (_faults) {
-            RobustnessReport &stats = _faults->stats();
+        if (_arq) {
+            RobustnessReport &stats = _arq->stats();
             for (const Member &member : _members) {
                 stats.bufferedResults += member.buffered.size();
                 if (member.degradedMode) {
@@ -440,29 +429,20 @@ class FleetSimulator
     struct Instance
     {
         std::optional<Time> resultAt;
-        /** Fault path: completion time of every node that started on
-         *  the sensor end (source included), for the fallback DP. */
-        std::vector<std::optional<Time>> sensorFinishAt;
         /** Fault path: classified via the local fallback. */
         bool degraded = false;
         /** Fault path: when the local classification was produced. */
         std::optional<Time> localResultAt;
     };
 
-    /** A broadcast group's consumers split by end relative to the
-     *  producer; static under a fixed placement. */
-    struct GroupSplit
-    {
-        std::vector<size_t> sameEnd;
-        std::vector<size_t> otherEnd;
-    };
-
     struct Member
     {
-        const FleetMember *spec = nullptr;
-        std::vector<BroadcastGroup> groups;
-        /** splits[g] belongs to groups[g]. */
-        std::vector<GroupSplit> splits;
+        explicit Member(const FleetMember &member)
+            : spec(&member), groups(member.topology, member.placement)
+        {}
+
+        const FleetMember *spec;
+        PlacedGroups groups;
         std::vector<Instance> instances;
         /** Flat per-(event, node) dataflow state, indexed
          * k * graphNodes + v; arena-backed slabs shared by every
@@ -470,14 +450,80 @@ class FleetSimulator
         size_t graphNodes = 0;
         size_t *inputsPending = nullptr;
         uint8_t *done = nullptr;
-        // Per-node outage detector state (fault path only).
+        // Per-node fault-path state: the local-fallback planner and
+        // its per-(event, node) sensor finish times (arena-backed),
+        // plus the outage detector.
+        std::optional<LocalFallbackPlanner> fallback;
+        std::optional<Time> *sensorFinishAt = nullptr;
         size_t abandonStreak = 0;
         bool degradedMode = false;
         Time outageStart;
         std::vector<size_t> buffered;
         size_t degradedEvents = 0;
-        size_t probeCount = 0;
     };
+
+    uint64_t mk(size_t m, size_t k) const
+    {
+        return m * _eventsPerNode + k;
+    }
+
+    void
+    dispatch(const SimEvent &event)
+    {
+        const uint64_t p = event.payload;
+        switch (event.kind) {
+        case kInject:
+            completeNode(p / _eventsPerNode, p % _eventsPerNode,
+                         DataflowGraph::sourceId);
+            break;
+        case kFinishNode: {
+            const uint64_t rest = p / _maxGraphNodes;
+            finishNode(rest / _eventsPerNode, rest % _eventsPerNode,
+                       p % _maxGraphNodes);
+            break;
+        }
+        case kRadioWake:
+            _radio.wake();
+            break;
+        case kRadioDone:
+            dispatch(_radio.finish());
+            _radio.release();
+            break;
+        case kCpuDone:
+            dispatch(_cpu.finish());
+            _cpu.startNext();
+            break;
+        case kDeliverGroup: {
+            const uint64_t rest = p / _maxGroups;
+            const size_t m = rest / _eventsPerNode;
+            const size_t k = rest % _eventsPerNode;
+            for (size_t v :
+                 _members[m].groups.otherEnd(p % _maxGroups))
+                deliverTo(m, k, v);
+            break;
+        }
+        case kLegacyResult:
+            _members[p / _eventsPerNode]
+                .instances[p % _eventsPerNode]
+                .resultAt = _queue.now();
+            break;
+        case kLocalResult:
+            localResult(p / _eventsPerNode, p % _eventsPerNode);
+            break;
+        case kProbeTimer:
+            if (_members[p].degradedMode)
+                sendProbe(p);
+            break;
+        case kArqAttempt:
+            attemptArq(static_cast<uint32_t>(p));
+            break;
+        case kArqChannelDone:
+            arqChannelDone(static_cast<uint32_t>(p));
+            break;
+        default:
+            panic("unknown fleet-simulator event kind %u", event.kind);
+        }
+    }
 
     void
     deliverTo(size_t m, size_t k, size_t v)
@@ -495,22 +541,12 @@ class FleetSimulator
     completeNode(size_t m, size_t k, size_t u)
     {
         Member &member = _members[m];
-        // (m, k, u) packed into one word: the capture then fits
-        // std::function's inline buffer, so scheduling a completion
-        // never touches the heap in the steady-state loop.
-        const auto finish =
-            [this, packed = (m * _eventsPerNode + k) *
-                                _maxGraphNodes +
-                            u]() {
-                const size_t rest = packed / _maxGraphNodes;
-                finishNode(rest / _eventsPerNode,
-                           rest % _eventsPerNode,
-                           packed % _maxGraphNodes);
-            };
+        const SimEvent finish{kFinishNode,
+                              mk(m, k) * _maxGraphNodes + u};
         if (u == DataflowGraph::sourceId) {
-            if (_faults) {
-                Instance &instance = member.instances[k];
-                instance.sensorFinishAt[u] = _queue.now();
+            if (_arq) {
+                member.sensorFinishAt[k * member.graphNodes + u] =
+                    _queue.now();
                 // Injected mid-outage: straight to local fallback.
                 if (member.degradedMode)
                     degradeEvent(m, k);
@@ -523,8 +559,8 @@ class FleetSimulator
         if (member.spec->placement.inSensor(u)) {
             // The member's own hardware: runs concurrently with
             // every other node's cells.
-            if (_faults) {
-                member.instances[k].sensorFinishAt[u] =
+            if (_arq) {
+                member.sensorFinishAt[k * member.graphNodes + u] =
                     _queue.now() + costs.sensorDelay;
             }
             _queue.scheduleAfter(costs.sensorDelay, finish);
@@ -549,59 +585,35 @@ class FleetSimulator
 
         if (u == topology.fusionNode) {
             if (placement.inSensor(u)) {
-                if (_faults) {
-                    sendResult(m, k);
+                if (_arq) {
+                    sendArq(m, EngineTopology::resultBits, true,
+                            {kResultSettled, mk(m, k)});
                 } else {
                     const TransferCost cost =
                         _link.transfer(EngineTopology::resultBits);
-                    _radio.request(
-                        m, cost,
-                        [this,
-                         packed = m * _eventsPerNode + k]() {
-                            _members[packed / _eventsPerNode]
-                                .instances[packed % _eventsPerNode]
-                                .resultAt = _queue.now();
-                        });
+                    _radio.occupy(m, cost.airTime,
+                                  {kLegacyResult, mk(m, k)});
                 }
             } else {
                 member.instances[k].resultAt = _queue.now();
             }
         }
 
-        for (size_t g = 0; g < member.groups.size(); ++g) {
-            const BroadcastGroup &group = member.groups[g];
-            if (group.producer != u)
-                continue;
-            const GroupSplit &split = member.splits[g];
-            for (size_t v : split.sameEnd)
+        const PlacedGroups &groups = member.groups;
+        for (size_t g = groups.first(u); g < groups.first(u + 1);
+             ++g) {
+            for (size_t v : groups.sameEnd(g))
                 deliverTo(m, k, v);
-            if (!split.otherEnd.empty()) {
-                if (_faults) {
-                    sendPayload(m, k, u, group.bits,
-                                split.otherEnd);
-                } else {
-                    // The consumer list on the far end is static
-                    // (_members[m].splits[g]), so capturing the
-                    // packed (m, k, g) index is enough — no
-                    // per-event vector copy, no heap.
-                    const TransferCost cost =
-                        _link.transfer(group.bits);
-                    _radio.request(
-                        m, cost,
-                        [this,
-                         packed = (m * _eventsPerNode + k) *
-                                      _maxGroups +
-                                  g]() {
-                            const size_t rest = packed / _maxGroups;
-                            const size_t dm = rest / _eventsPerNode;
-                            const size_t dk = rest % _eventsPerNode;
-                            for (size_t v :
-                                 _members[dm]
-                                     .splits[packed % _maxGroups]
-                                     .otherEnd)
-                                deliverTo(dm, dk, v);
-                        });
-                }
+            if (groups.otherEnd(g).empty())
+                continue;
+            const size_t bits = groups.group(g).bits;
+            const uint64_t packed = mk(m, k) * _maxGroups + g;
+            if (_arq) {
+                sendArq(m, bits, placement.inSensor(u),
+                        {kPayloadSettled, packed});
+            } else {
+                _radio.occupy(m, _link.transfer(bits).airTime,
+                              {kDeliverGroup, packed});
             }
         }
     }
@@ -620,119 +632,122 @@ class FleetSimulator
         return false;
     }
 
-    ArqPacket
-    makePacket(size_t m, size_t payload_bits, bool sender_in_sensor,
-               std::string what, bool is_probe = false)
+    /** Submit one packet of member @p m to ARQ and start its first
+     *  attempt. */
+    void
+    sendArq(size_t m, size_t bits, bool sender_in_sensor,
+            SimEvent on_settled, bool is_probe = false)
     {
         ArqPacket packet;
-        packet.payloadBits = payload_bits;
+        packet.payloadBits = bits;
         packet.senderInSensor = sender_in_sensor;
-        packet.what = std::move(what);
         packet.isProbe = is_probe;
-        packet.forceLost = [this, m](Time at) {
-            return nodeInOutage(m, at);
-        };
-        return packet;
-    }
-
-    ChannelGrant
-    grantFn(size_t m)
-    {
-        return [this, m](Time air, const std::string &,
-                         EventQueue::Handler on_done) {
-            _radio.occupy(m, air, std::move(on_done));
-        };
+        packet.owner = static_cast<uint32_t>(m);
+        packet.onSettled = on_settled;
+        attemptArq(_arq->open(std::move(packet)));
     }
 
     void
-    sendPayload(size_t m, size_t k, size_t u, size_t bits,
-                std::vector<size_t> other_end)
+    attemptArq(uint32_t slot)
     {
-        const Member &member = _members[m];
-        ArqPacket packet = makePacket(
-            m, bits, member.spec->placement.inSensor(u),
-            member.spec->topology.graph.node(u).name + " payload #" +
-                std::to_string(k));
-        runArq(_queue, *_faults, _link, std::move(packet), nullptr,
-               grantFn(m), nullptr,
-               [this, m, k, other_end = std::move(other_end)](
-                   bool delivered, size_t) {
-                   onPacketOutcome(m, delivered);
-                   Instance &instance = _members[m].instances[k];
-                   if (delivered) {
-                       if (!instance.degraded) {
-                           for (size_t v : other_end)
-                               deliverTo(m, k, v);
-                       }
-                   } else {
-                       degradeEvent(m, k);
-                   }
-               });
+        const size_t m = _arq->packet(slot).owner;
+        const Time air =
+            _arq->attempt(slot, nodeInOutage(m, _queue.now()));
+        _radio.occupy(m, air, {kArqChannelDone, slot});
     }
 
     void
-    sendResult(size_t m, size_t k)
+    arqChannelDone(uint32_t slot)
     {
-        ArqPacket packet =
-            makePacket(m, EngineTopology::resultBits, true,
-                       "result #" + std::to_string(k));
-        runArq(_queue, *_faults, _link, std::move(packet), nullptr,
-               grantFn(m), nullptr,
-               [this, m, k](bool delivered, size_t) {
-                   onPacketOutcome(m, delivered);
-                   Instance &instance = _members[m].instances[k];
-                   if (instance.degraded)
-                       return;
-                   if (delivered)
-                       instance.resultAt = _queue.now();
-                   else
-                       degradeEvent(m, k);
-               });
+        const size_t m = _arq->packet(slot).owner;
+        SimEvent settled;
+        const ArqMachine::Outcome outcome = _arq->settle(slot, &settled);
+        if (outcome == ArqMachine::Outcome::Retry)
+            return;
+        const bool delivered =
+            outcome == ArqMachine::Outcome::Delivered;
+        const uint64_t p = settled.payload;
+        switch (settled.kind) {
+        case kPayloadSettled: {
+            const size_t k = (p / _maxGroups) % _eventsPerNode;
+            onPacketOutcome(m, delivered);
+            if (!delivered) {
+                degradeEvent(m, k);
+            } else if (!_members[m].instances[k].degraded) {
+                for (size_t v :
+                     _members[m].groups.otherEnd(p % _maxGroups))
+                    deliverTo(m, k, v);
+            }
+            break;
+        }
+        case kResultSettled: {
+            const size_t k = p % _eventsPerNode;
+            onPacketOutcome(m, delivered);
+            Instance &instance = _members[m].instances[k];
+            if (instance.degraded)
+                break;
+            if (delivered)
+                instance.resultAt = _queue.now();
+            else
+                degradeEvent(m, k);
+            break;
+        }
+        case kReplaySettled: {
+            const size_t k = p % _eventsPerNode;
+            onPacketOutcome(m, delivered);
+            if (delivered) {
+                ++_arq->stats().replayedResults;
+                _recoverySum +=
+                    _queue.now() -
+                    *_members[m].instances[k].localResultAt;
+            } else {
+                _members[m].buffered.push_back(k);
+            }
+            break;
+        }
+        case kProbeSettled:
+            if (!_members[m].degradedMode)
+                break;
+            if (delivered)
+                onPacketOutcome(m, true);
+            else
+                scheduleProbe(m);
+            break;
+        default:
+            panic("unknown ARQ outcome kind %u", settled.kind);
+        }
     }
 
     void
     replayResult(size_t m, size_t k)
     {
-        ArqPacket packet =
-            makePacket(m, EngineTopology::resultBits, true,
-                       "replay result #" + std::to_string(k));
-        runArq(_queue, *_faults, _link, std::move(packet), nullptr,
-               grantFn(m), nullptr,
-               [this, m, k](bool delivered, size_t) {
-                   onPacketOutcome(m, delivered);
-                   if (delivered) {
-                       ++_faults->stats().replayedResults;
-                       _recoverySum +=
-                           _queue.now() -
-                           *_members[m].instances[k].localResultAt;
-                   } else {
-                       _members[m].buffered.push_back(k);
-                   }
-               });
+        sendArq(m, EngineTopology::resultBits, true,
+                {kReplaySettled, mk(m, k)});
     }
 
     void
     onPacketOutcome(size_t m, bool delivered)
     {
         Member &member = _members[m];
-        RobustnessReport &stats = _faults->stats();
+        RobustnessReport &stats = _arq->stats();
         if (delivered) {
             member.abandonStreak = 0;
             if (member.degradedMode) {
                 member.degradedMode = false;
                 stats.outageTimeMs +=
                     (_queue.now() - member.outageStart).ms();
-                std::vector<size_t> pending;
-                pending.swap(member.buffered);
-                for (size_t k : pending)
+                // Replays settle no earlier than their first channel
+                // occupation ends, so nothing re-shelves meanwhile.
+                _replaying.swap(member.buffered);
+                for (size_t k : _replaying)
                     replayResult(m, k);
+                _replaying.clear();
             }
             return;
         }
         ++member.abandonStreak;
         if (!member.degradedMode &&
-            member.abandonStreak >=
-                _faults->profile().outageThreshold) {
+            member.abandonStreak >= _arq->profile().outageThreshold) {
             member.degradedMode = true;
             member.outageStart = _queue.now();
             ++stats.outages;
@@ -750,33 +765,17 @@ class FleetSimulator
             Time::seconds(1.0 / member.spec->eventsPerSecond) *
             static_cast<double>(_eventsPerNode);
         const Time next =
-            _queue.now() + _faults->profile().probeInterval;
+            _queue.now() + _arq->profile().probeInterval;
         if (next > horizon)
             return;
-        _queue.schedule(next, [this, m]() {
-            if (!_members[m].degradedMode)
-                return;
-            sendProbe(m);
-        });
+        _queue.schedule(next, {kProbeTimer, m});
     }
 
     void
     sendProbe(size_t m)
     {
-        Member &member = _members[m];
-        ArqPacket packet = makePacket(
-            m, EngineTopology::resultBits, true,
-            "probe #" + std::to_string(member.probeCount++), true);
-        runArq(_queue, *_faults, _link, std::move(packet), nullptr,
-               grantFn(m), nullptr,
-               [this, m](bool delivered, size_t) {
-                   if (!_members[m].degradedMode)
-                       return;
-                   if (delivered)
-                       onPacketOutcome(m, true);
-                   else
-                       scheduleProbe(m);
-               });
+        sendArq(m, EngineTopology::resultBits, true,
+                {kProbeSettled, m}, /*is_probe=*/true);
     }
 
     /** Finish member @p m's event @p k locally from now on. */
@@ -789,39 +788,45 @@ class FleetSimulator
             return;
         instance.degraded = true;
         ++member.degradedEvents;
-        ++_faults->stats().degradedEvents;
-        const LocalFallback plan = computeLocalFallback(
-            member.spec->topology, member.spec->placement,
-            instance.sensorFinishAt, _queue.now());
-        _queue.schedule(plan.completion, [this, m, k]() {
-            Member &member = _members[m];
-            Instance &instance = member.instances[k];
-            instance.resultAt = _queue.now();
-            instance.localResultAt = _queue.now();
-            if (member.degradedMode)
-                member.buffered.push_back(k);
-            else
-                replayResult(m, k);
-        });
+        ++_arq->stats().degradedEvents;
+        const LocalFallback plan = member.fallback->plan(
+            std::span(member.sensorFinishAt + k * member.graphNodes,
+                      member.graphNodes),
+            _queue.now());
+        _queue.schedule(plan.completion, {kLocalResult, mk(m, k)});
+    }
+
+    void
+    localResult(size_t m, size_t k)
+    {
+        Member &member = _members[m];
+        Instance &instance = member.instances[k];
+        instance.resultAt = _queue.now();
+        instance.localResultAt = _queue.now();
+        if (member.degradedMode)
+            member.buffered.push_back(k);
+        else
+            replayResult(m, k);
     }
 
     const WirelessLink &_link;
     size_t _eventsPerNode;
-    /** Packing strides for single-word completion captures. */
+    /** Packing strides for single-word event payloads. */
     size_t _maxGraphNodes = 0;
     size_t _maxGroups = 0;
     EventQueue _queue;
     FleetSimResult _result;
     SharedRadio _radio;
     CpuServer _cpu;
-    /** Backs every member's inputsPending/done slabs; declared
+    /** Backs every member's per-(event, node) slabs; declared
      *  before _members so the pointers outlive their users. */
     Arena _stateArena;
     std::vector<Member> _members;
 
     // Fault-injection state (unused on the legacy path).
-    std::optional<FaultState> _faults;
+    std::optional<ArqMachine> _arq;
     std::vector<NodeOutage> _nodeOutages;
+    std::vector<size_t> _replaying; ///< buffered-replay scratch
     Time _recoverySum;
 };
 

@@ -352,6 +352,17 @@ struct PopulationFleetConfig
      * baseline; it has no effect when stats are compiled out.
      */
     bool collectStats = true;
+
+    /**
+     * Reject configurations the population kernel cannot represent
+     * with a FatalError: no nodes, more nodes than the wheel's
+     * 32-bit node field, zero events or more events per node than
+     * the wheel's 24-bit event field (2^24 - 1), a zero sync window,
+     * or an archetype with a zero integer cost. Also validates the
+     * chaos and fault sections when enabled. runPopulationFleet()
+     * calls it first; front ends call it to fail before any work.
+     */
+    void validate() const;
 };
 
 /**

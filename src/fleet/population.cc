@@ -323,26 +323,45 @@ syntheticArchetypes()
     return archetypes;
 }
 
+void
+PopulationFleetConfig::validate() const
+{
+    if (nodes == 0)
+        throw FatalError("population fleet needs at least one node");
+    if (nodes > UINT32_MAX) {
+        throw FatalError(
+            "population fleet supports at most " +
+            std::to_string(UINT32_MAX) + " nodes, got " +
+            std::to_string(nodes));
+    }
+    if (eventsPerNode == 0 || eventsPerNode > kEventMask) {
+        throw FatalError(
+            "events per node must be in [1, " +
+            std::to_string(kEventMask) + "], got " +
+            std::to_string(eventsPerNode));
+    }
+    if (windowUs == 0)
+        throw FatalError("population fleet needs a nonzero sync window");
+    for (const PopulationArchetype &a : archetypes) {
+        if (a.sensorComputeUs == 0 || a.uplinkAirtimeUs == 0 ||
+            a.gatewayAirtimeUs == 0 || a.periodUs == 0) {
+            throw FatalError("archetype '" + a.symbol +
+                             "' needs positive integer costs");
+        }
+    }
+    chaos.validate();
+    if (faults.enabled)
+        faults.validate();
+}
+
 PopulationFleetResult
 runPopulationFleet(const PopulationFleetConfig &config)
 {
-    xproAssert(config.nodes > 0, "population fleet needs nodes");
-    xproAssert(config.nodes <= UINT32_MAX,
-               "node ids must fit the wheel's 32-bit field");
-    xproAssert(config.eventsPerNode > 0 &&
-                   config.eventsPerNode <= kEventMask,
-               "events per node out of range");
-    xproAssert(config.windowUs > 0, "need a nonzero sync window");
+    config.validate();
 
     const std::vector<PopulationArchetype> classes =
         config.archetypes.empty() ? syntheticArchetypes()
                                   : config.archetypes;
-    for (const PopulationArchetype &a : classes) {
-        xproAssert(a.sensorComputeUs > 0 && a.uplinkAirtimeUs > 0 &&
-                       a.gatewayAirtimeUs > 0 && a.periodUs > 0,
-                   "archetype '%s' needs positive integer costs",
-                   a.symbol.c_str());
-    }
 
     const TierTopology topo =
         TierTopology::build(config.nodes, config.tiers);
@@ -375,16 +394,12 @@ runPopulationFleet(const PopulationFleetConfig &config)
     // is guarded off and the run reproduces the legacy bytes.
     const ChaosConfig &chaos = config.chaos;
     const bool chaosOn = chaos.enabled;
-    if (chaosOn)
-        chaos.validate();
     ChaosSchedule sched(chaos, topo.gateways);
     const uint8_t *downMap = sched.downMap().data();
 
     // Shared fault profile on the sensor uplink (the detailed
     // path's Gilbert-Elliott/ARQ knobs, hash-draw edition).
     const FaultProfile &faults = config.faults;
-    if (faults.enabled)
-        faults.validate();
     const LinkFaultModel link = LinkFaultModel::build(faults);
     const auto faultDraw = [&](uint64_t node, uint64_t event,
                                uint32_t attempt, uint64_t salt) {

@@ -9,49 +9,55 @@ namespace xpro
 {
 
 void
-EventQueue::schedule(Time at, Handler handler)
+EventQueue::preload(Time at, SimEvent event)
 {
+    xproAssert(!_popped, "preload after the run started");
     xproAssert(at >= _now, "cannot schedule into the past");
-    _events.push_back({at, _nextSequence++, std::move(handler)});
-    std::push_heap(_events.begin(), _events.end(), Later{});
-}
-
-void
-EventQueue::scheduleAfter(Time delay, Handler handler)
-{
-    schedule(_now + delay, std::move(handler));
+    _preloaded.push_back({at, _nextSequence++, event});
 }
 
 bool
-EventQueue::runOne()
+EventQueue::pop(SimEvent &event)
 {
-    if (_events.empty())
+    if (!_popped) {
+        _popped = true;
+        // Streams inject in time order already; a multi-stream
+        // preload (the fleet's members) is sorted once here.
+        const auto before = [](const Item &a, const Item &b) {
+            return Later{}(b, a);
+        };
+        if (!std::is_sorted(_preloaded.begin(), _preloaded.end(),
+                            before))
+            std::sort(_preloaded.begin(), _preloaded.end(), before);
+    }
+    const bool preloaded = _nextPreloaded < _preloaded.size();
+    if (_heap.empty() && !preloaded)
         return false;
-    // Heap-depth high-water, sampled before the pop: the size seen
-    // here is the local maximum after any burst of schedule() calls,
-    // so per-schedule bookkeeping buys nothing (DESIGN.md §17).
-    XPRO_STAT(_maxPending = std::max(_maxPending, _events.size()));
-    // Move out before running: the handler may schedule new events.
-    std::pop_heap(_events.begin(), _events.end(), Later{});
-    Event event = std::move(_events.back());
-    _events.pop_back();
-    _now = event.at;
-    event.handler();
+    // Depth high-water, sampled before the pop: the count seen here
+    // is the local maximum after any burst of schedule() calls, so
+    // per-schedule bookkeeping buys nothing (DESIGN.md §17).
+    XPRO_STAT(_maxPending = std::max(_maxPending, pending()));
+    if (preloaded &&
+        (_heap.empty() ||
+         Later{}(_heap.front(), _preloaded[_nextPreloaded]))) {
+        const Item &item = _preloaded[_nextPreloaded++];
+        _now = item.at;
+        event = item.event;
+        return true;
+    }
+    std::pop_heap(_heap.begin(), _heap.end(), Later{});
+    _now = _heap.back().at;
+    event = _heap.back().event;
+    _heap.pop_back();
     return true;
 }
 
 void
-EventQueue::runAll(size_t max_events)
+EventQueue::publishRun(size_t executed)
 {
-    size_t executed = 0;
-    while (runOne()) {
-        if (++executed > max_events)
-            panic("event cap %zu exceeded; simulated system loops",
-                  max_events);
-    }
 #if !defined(XPRO_STATS_OFF)
     // Detailed-path queue telemetry: cumulative events executed and
-    // the deepest the heap ever got. Single-threaded per queue and
+    // the deepest the queue ever got. Single-threaded per queue and
     // deterministic per run, so Stable scope.
     struct Ids {
         StatId run, events, depth;
@@ -66,7 +72,9 @@ EventQueue::runAll(size_t max_events)
     reg.add(ids.run);
     reg.add(ids.events, executed);
     reg.gaugeMax(ids.depth, _maxPending);
-    _maxPending = _events.size();
+    _maxPending = pending();
+#else
+    (void)executed;
 #endif
 }
 

@@ -1,25 +1,31 @@
 /**
  * @file
- * Discrete-event simulation kernels.
+ * Discrete-event simulation kernels. Both queues hold plain typed
+ * records — an owner-defined kind plus a packed payload — and the
+ * owning simulator dispatches each popped record with a switch; no
+ * callback is stored per event.
  *
- * Two queues live here:
- *
- *  - EventQueue: the original time-ordered queue of callbacks, a
- *    binary heap over a plain vector. Used by the cross-end system
- *    simulator and the detailed (per-cell) fleet simulation. Storage
- *    is reserve()d up front and reused across events, and the (time,
- *    sequence) strict total order makes the pop order identical to
- *    the former std::priority_queue implementation.
+ *  - EventQueue: the detailed cross-end simulators' queue
+ *    (sim/system_sim, the ARQ machine of sim/fault_sim and the
+ *    detailed fleet path). Times are double-valued Time and events
+ *    pop in (time, sequence) order: simultaneous events run first
+ *    in, first out. In-flight events live in a binary heap;
+ *    injections scheduled before the run wait in a side array
+ *    sorted once and merged with the heap on pop, so the heap stays
+ *    as shallow as the number of events actually in flight.
  *
  *  - TimeWheel + ShardedEventQueue: the population-scale kernel
- *    (DESIGN.md §16). Events are plain 24-byte records (no
- *    std::function), times are integer ticks (microseconds), and
+ *    (DESIGN.md §16). Times are integer ticks (microseconds), and
  *    items pop in (tick, node, kind, data) order — a strict total
  *    order independent of insertion order, which is what makes the
  *    sharded drain deterministic. A hierarchical wheel (4 levels x
  *    256 slots with occupancy bitmaps) makes schedule/pop O(1)
  *    amortized; ShardedEventQueue runs S wheels under conservative
  *    time-window synchronization on a WorkerPool.
+ *
+ * The two orders differ on purpose: the detailed simulators' FIFO
+ * tie-break and double-valued times are part of their recorded
+ * outputs.
  */
 
 #ifndef XPRO_SIM_EVENT_QUEUE_HH
@@ -28,7 +34,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -39,67 +45,170 @@
 namespace xpro
 {
 
-/** A time-ordered event queue. */
+/**
+ * One detailed-simulation event: what to do (a kind defined by the
+ * owning simulator) and to what (a payload the owner packs, e.g.
+ * event, node or slot indices).
+ */
+struct SimEvent
+{
+    uint32_t kind = 0;
+    uint64_t payload = 0;
+};
+
+/** A time-ordered queue of typed events. */
 class EventQueue
 {
   public:
-    using Handler = std::function<void()>;
-
     /** Current simulation time. */
     Time now() const { return _now; }
 
-    /** Schedule @p handler at absolute time @p at (>= now). */
-    void schedule(Time at, Handler handler);
+    /** Schedule @p event at absolute time @p at (>= now). */
+    void
+    schedule(Time at, SimEvent event)
+    {
+        xproAssert(at >= _now, "cannot schedule into the past");
+        _heap.push_back({at, _nextSequence++, event});
+        std::push_heap(_heap.begin(), _heap.end(), Later{});
+    }
 
-    /** Schedule @p handler @p delay after the current time. */
-    void scheduleAfter(Time delay, Handler handler);
-
-    /** Events currently pending. */
-    size_t pending() const { return _events.size(); }
-
-    /** Pre-size the underlying storage so scheduling up to
-     * @p capacity concurrent events never reallocates. */
-    void reserve(size_t capacity) { _events.reserve(capacity); }
+    /** Schedule @p event @p delay after the current time. */
+    void
+    scheduleAfter(Time delay, SimEvent event)
+    {
+        schedule(_now + delay, event);
+    }
 
     /**
-     * Pop and run the earliest event.
-     * @return False when the queue is empty.
+     * Schedule @p event at @p at before the run starts (a stream
+     * injection). It takes the next sequence number exactly as
+     * schedule() would, so the pop order is the same; it just waits
+     * outside the heap. Must precede the first pop.
      */
-    bool runOne();
+    void preload(Time at, SimEvent event);
+
+    /** Events pending, preloaded ones not yet issued included. */
+    size_t
+    pending() const
+    {
+        return _heap.size() + (_preloaded.size() - _nextPreloaded);
+    }
+
+    /** Pre-size storage for @p preloaded injections and up to
+     * @p in_flight concurrent events, so neither reallocates. */
+    void
+    reserve(size_t preloaded, size_t in_flight)
+    {
+        _preloaded.reserve(preloaded);
+        _heap.reserve(in_flight);
+    }
 
     /**
-     * Run until the queue drains.
+     * Pop and dispatch events until the queue drains.
      * @param max_events Safety cap; exceeding it panics (an event
      *        loop in the simulated system).
      *
      * Publishes `sim.events_run` / `sim.queue_depth_highwater` to
      * the stats registry when it returns (DESIGN.md section 17).
      */
-    void runAll(size_t max_events = 1000000);
+    template <class Dispatch>
+    void
+    runAll(Dispatch &&dispatch, size_t max_events = 1000000)
+    {
+        size_t executed = 0;
+        SimEvent event;
+        while (pop(event)) {
+            dispatch(event);
+            if (++executed > max_events)
+                panic("event cap %zu exceeded; simulated system loops",
+                      max_events);
+        }
+        publishRun(executed);
+    }
 
   private:
-    struct Event
+    struct Item
     {
         Time at;
         uint64_t sequence; // FIFO tie-break for simultaneous events
-        Handler handler;
+        SimEvent event;
     };
 
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Item &a, const Item &b) const
         {
-            if (a.at.sec() != b.at.sec())
+            if (a.at != b.at)
                 return a.at > b.at;
             return a.sequence > b.sequence;
         }
     };
 
+    /**
+     * Pop the earliest event into @p event, advancing now().
+     * @return False when the queue is empty.
+     */
+    bool pop(SimEvent &event);
+
+    void publishRun(size_t executed);
+
     Time _now;
     uint64_t _nextSequence = 0;
-    std::vector<Event> _events; // heap ordered by Later
-    size_t _maxPending = 0;     // high-water, published by runAll
+    std::vector<Item> _heap; // in-flight events, heap ordered by Later
+    /** Preloaded events, sorted by (at, sequence) at the first pop;
+     *  [_nextPreloaded, end) are still pending. */
+    std::vector<Item> _preloaded;
+    size_t _nextPreloaded = 0;
+    bool _popped = false;
+    size_t _maxPending = 0; // high-water, published by runAll
+};
+
+/**
+ * A FIFO over one reused vector: popping advances a head index
+ * instead of erasing the front, and the storage rewinds once
+ * drained, so a steady-state loop neither shifts elements nor
+ * allocates.
+ */
+template <class T>
+class HeadFifo
+{
+  public:
+    bool empty() const { return _head == _items.size(); }
+    size_t size() const { return _items.size() - _head; }
+    void reserve(size_t capacity) { _items.reserve(capacity); }
+    void push(T item) { _items.push_back(std::move(item)); }
+
+    /** Element @p i positions behind the front. */
+    const T &operator[](size_t i) const { return _items[_head + i]; }
+
+    /** Remove and return element @p i (0 = the front). */
+    T
+    take(size_t i = 0)
+    {
+        T item = std::move(_items[_head + i]);
+        if (i == 0) {
+            ++_head;
+        } else {
+            _items.erase(_items.begin() +
+                         static_cast<ptrdiff_t>(_head + i));
+        }
+        if (_head == _items.size()) {
+            _items.clear();
+            _head = 0;
+        } else if (_head >= 64 && 2 * _head >= _items.size()) {
+            // Never drained: drop the consumed prefix (amortized
+            // O(1) per pop) so the vector stays bounded.
+            _items.erase(_items.begin(),
+                         _items.begin() + static_cast<ptrdiff_t>(_head));
+            _head = 0;
+        }
+        return item;
+    }
+
+  private:
+    std::vector<T> _items;
+    size_t _head = 0;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "sim/fault_sim.hh"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
@@ -13,15 +12,6 @@ namespace xpro
 
 namespace
 {
-
-/** Mutable per-packet ARQ progress shared across attempt callbacks. */
-struct ArqJob
-{
-    ArqPacket packet;
-    AttemptCost cost;
-    /** 0-based index of the ongoing attempt. */
-    size_t attempt = 0;
-};
 
 // Stable scope: losses are drawn from the seeded channel in a
 // deterministic single-threaded order, so attempt/retry/drop counts
@@ -49,119 +39,118 @@ arqStatIds()
 
 } // namespace
 
-void
-runArq(EventQueue &queue, FaultState &faults, const WirelessLink &link,
-       ArqPacket packet, SensorEnergyBreakdown *sensor,
-       ChannelGrant grant, std::function<void(const std::string &)> note,
-       ArqDone done)
+ArqMachine::ArqMachine(const FaultProfile &profile,
+                       const WirelessLink &link, EventQueue &queue,
+                       SensorEnergyBreakdown *sensor,
+                       uint32_t attempt_kind)
+    : _profile(profile), _loss(profile), _link(link), _queue(queue),
+      _sensor(sensor), _attemptKind(attempt_kind)
 {
-    xproAssert(faults.profile().enabled,
-               "runArq on a disabled fault profile");
-    if (packet.isProbe)
-        ++faults.stats().probes;
-    else
-        ++faults.stats().packetsOffered;
-
-    auto job = std::make_shared<ArqJob>();
-    job->packet = std::move(packet);
-    job->cost = link.attempt(job->packet.payloadBits);
-
-    // Self-continuing attempt loop. Each attempt is its own channel
-    // grant, so the channel serves other traffic during ACK timeouts
-    // and backoff; the self-reference is cleared on the terminal
-    // paths to break the ownership cycle.
-    auto attemptOnce = std::make_shared<std::function<void()>>();
-    *attemptOnce = [&queue, &faults, job, sensor,
-                    grant = std::move(grant), note = std::move(note),
-                    done = std::move(done), attemptOnce]() {
-        ++faults.stats().attempts;
-        StatsRegistry::instance().add(arqStatIds().attempts);
-        const Time now = queue.now();
-        // The packet's fate is drawn when the attempt is initiated
-        // (a deterministic single-threaded order), not when the
-        // possibly-backlogged channel actually serializes it — a
-        // documented simplification. Scripted losses (outage
-        // windows, dead fleet nodes) consume no stochastic draw.
-        const bool forced =
-            job->packet.forceLost && job->packet.forceLost(now);
-        const bool lost = forced || faults.loss().dropPacket(now);
-
-        // The receiver listens for the data frame on every attempt;
-        // the ACK exchange happens only when the frame got through.
-        if (sensor) {
-            if (job->packet.senderInSensor) {
-                sensor->tx += job->cost.dataTx;
-                if (!lost)
-                    sensor->rx += job->cost.ackRx;
-            } else {
-                sensor->rx += job->cost.dataRx;
-                if (!lost)
-                    sensor->tx += job->cost.ackTx;
-            }
-        }
-
-        const Time air =
-            lost ? job->cost.dataAirTime
-                 : job->cost.dataAirTime + job->cost.ackAirTime;
-        std::string what = job->packet.what;
-        if (job->attempt > 0)
-            what += " try " + std::to_string(job->attempt);
-        grant(air, what, [&queue, &faults, job, lost, note, done,
-                          attemptOnce]() {
-            RobustnessReport &stats = faults.stats();
-            if (!lost) {
-                const size_t retries = job->attempt;
-                if (!job->packet.isProbe) {
-                    ++stats.packetsDelivered;
-                    if (stats.retryHistogram.size() <= retries)
-                        stats.retryHistogram.resize(retries + 1, 0);
-                    ++stats.retryHistogram[retries];
-                    StatsRegistry &reg = StatsRegistry::instance();
-                    const ArqStatIds &ids = arqStatIds();
-                    reg.add(ids.delivered);
-                    reg.add(ids.retries, retries);
-                    reg.observe(ids.triesHist, retries + 1);
-                }
-                *attemptOnce = nullptr;
-                done(true, retries + 1);
-                return;
-            }
-            const ArqConfig &arq = faults.profile().arq;
-            if (job->attempt >= arq.maxRetries) {
-                if (note)
-                    note("drop " + job->packet.what);
-                if (!job->packet.isProbe) {
-                    ++stats.packetsAbandoned;
-                    StatsRegistry &reg = StatsRegistry::instance();
-                    const ArqStatIds &ids = arqStatIds();
-                    reg.add(ids.drops);
-                    reg.add(ids.retries, job->attempt);
-                    reg.observe(ids.triesHist, job->attempt + 1);
-                }
-                const size_t attempts = job->attempt + 1;
-                *attemptOnce = nullptr;
-                done(false, attempts);
-                return;
-            }
-            if (note)
-                note("retry " + job->packet.what);
-            const Time wait = arq.backoff(job->attempt);
-            ++job->attempt;
-            queue.scheduleAfter(wait,
-                               [attemptOnce]() { (*attemptOnce)(); });
-        });
-    };
-    (*attemptOnce)();
+    xproAssert(profile.enabled, "ARQ on a disabled fault profile");
+    _stats.enabled = true;
+    // Sized once so a longer run never grows it (the fault-path
+    // allocation tests compare runs of different lengths).
+    _stats.retryHistogram.reserve(profile.arq.maxRetries + 1);
 }
 
-LocalFallback
-computeLocalFallback(const EngineTopology &topology,
-                     const Placement &placement,
-                     const std::vector<std::optional<Time>>
-                         &sensor_finish_at,
-                     Time at)
+uint32_t
+ArqMachine::open(ArqPacket packet)
 {
-    const DataflowGraph &graph = topology.graph;
+    if (packet.isProbe)
+        ++_stats.probes;
+    else
+        ++_stats.packetsOffered;
+    uint32_t slot;
+    if (_freeSlots.empty()) {
+        slot = static_cast<uint32_t>(_slots.size());
+        _slots.emplace_back();
+    } else {
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
+    }
+    Slot &job = _slots[slot];
+    job.cost = _link.attempt(packet.payloadBits);
+    job.packet = std::move(packet);
+    job.attempt = 0;
+    return slot;
+}
+
+Time
+ArqMachine::attempt(uint32_t slot, bool forced)
+{
+    Slot &job = _slots[slot];
+    ++_stats.attempts;
+    StatsRegistry::instance().add(arqStatIds().attempts);
+    job.lost = forced || _loss.dropPacket(_queue.now());
+
+    // The receiver listens for the data frame on every attempt; the
+    // ACK exchange happens only when the frame got through.
+    if (_sensor) {
+        if (job.packet.senderInSensor) {
+            _sensor->tx += job.cost.dataTx;
+            if (!job.lost)
+                _sensor->rx += job.cost.ackRx;
+        } else {
+            _sensor->rx += job.cost.dataRx;
+            if (!job.lost)
+                _sensor->tx += job.cost.ackTx;
+        }
+    }
+    return job.lost ? job.cost.dataAirTime
+                    : job.cost.dataAirTime + job.cost.ackAirTime;
+}
+
+ArqMachine::Outcome
+ArqMachine::settle(uint32_t slot, SimEvent *settled)
+{
+    Slot &job = _slots[slot];
+    const bool probe = job.packet.isProbe;
+    StatsRegistry &reg = StatsRegistry::instance();
+    const ArqStatIds &ids = arqStatIds();
+    Outcome outcome;
+    if (!job.lost) {
+        const size_t retries = job.attempt;
+        if (!probe) {
+            ++_stats.packetsDelivered;
+            if (_stats.retryHistogram.size() <= retries)
+                _stats.retryHistogram.resize(retries + 1, 0);
+            ++_stats.retryHistogram[retries];
+            reg.add(ids.delivered);
+            reg.add(ids.retries, retries);
+            reg.observe(ids.triesHist, retries + 1);
+        }
+        outcome = Outcome::Delivered;
+    } else if (job.attempt >= _profile.arq.maxRetries) {
+        if (!probe) {
+            ++_stats.packetsAbandoned;
+            reg.add(ids.drops);
+            reg.add(ids.retries, job.attempt);
+            reg.observe(ids.triesHist, job.attempt + 1);
+        }
+        outcome = Outcome::Abandoned;
+    } else {
+        const Time wait = _profile.arq.backoff(job.attempt);
+        ++job.attempt;
+        _queue.scheduleAfter(wait, {_attemptKind, slot});
+        return Outcome::Retry;
+    }
+    *settled = job.packet.onSettled;
+    _freeSlots.push_back(slot);
+    return outcome;
+}
+
+LocalFallbackPlanner::LocalFallbackPlanner(
+    const EngineTopology &topology, const Placement &placement)
+    : _topology(&topology), _placement(&placement),
+      _order(topology.graph.topologicalOrder()),
+      _avail(topology.graph.nodeCount())
+{}
+
+LocalFallback
+LocalFallbackPlanner::plan(
+    std::span<const std::optional<Time>> sensor_finish_at, Time at)
+{
+    const DataflowGraph &graph = _topology->graph;
     xproAssert(sensor_finish_at.size() == graph.nodeCount(),
                "finish-time vector has %zu entries for %zu nodes",
                sensor_finish_at.size(), graph.nodeCount());
@@ -169,28 +158,27 @@ computeLocalFallback(const EngineTopology &topology,
                "raw segment not yet acquired at fallback time");
 
     LocalFallback plan;
-    std::vector<Time> avail(graph.nodeCount());
-    for (size_t v : graph.topologicalOrder()) {
+    for (size_t v : _order) {
         if (sensor_finish_at[v].has_value()) {
             // Output already produced (or in flight) in-sensor:
             // reuse it, charging nothing.
             xproAssert(v == DataflowGraph::sourceId ||
-                           placement.inSensor(v),
+                           _placement->inSensor(v),
                        "cell '%s' finished in-sensor but is placed "
                        "in the aggregator",
                        graph.node(v).name.c_str());
-            avail[v] = std::max(*sensor_finish_at[v], at);
+            _avail[v] = std::max(*sensor_finish_at[v], at);
             continue;
         }
         Time ready = at;
         for (size_t u : graph.predecessors(v))
-            ready = std::max(ready, avail[u]);
+            ready = std::max(ready, _avail[u]);
         const CellCosts &costs = graph.node(v).costs;
-        avail[v] = ready + costs.sensorDelay;
+        _avail[v] = ready + costs.sensorDelay;
         plan.compute += costs.sensorEnergy;
         ++plan.recomputedCells;
     }
-    plan.completion = avail[topology.fusionNode];
+    plan.completion = _avail[_topology->fusionNode];
     return plan;
 }
 

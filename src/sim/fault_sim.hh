@@ -3,16 +3,15 @@
  * Fault-injected transfer machinery shared by the single-node system
  * simulator (sim/system_sim) and the fleet simulator (fleet/fleet):
  *
- *  - FaultState: one seeded loss process plus the run's
- *    RobustnessReport counters.
- *  - runArq(): drives one packet through bounded stop-and-wait ARQ
- *    on top of whatever channel-granting host the simulator uses
- *    (the single-node FIFO radio or the fleet's arbitrated shared
- *    radio). Each attempt is a separate channel grant, so the
- *    channel is free for other traffic during ACK timeouts and
- *    backoff — which is also what keeps a dead node from stalling
- *    FCFS/TDMA arbitration.
- *  - computeLocalFallback(): the graceful-degradation plan. When a
+ *  - ArqMachine: one seeded loss process, the run's RobustnessReport
+ *    counters and bounded stop-and-wait ARQ over a reused slot table
+ *    of in-flight packets. The host simulator drives it with typed
+ *    events on its own EventQueue and grants its own channel (the
+ *    single-node FIFO radio or the fleet's arbitrated shared radio)
+ *    to each attempt separately, so the channel is free for other
+ *    traffic during ACK timeouts and backoff — which is also what
+ *    keeps a dead node from stalling FCFS/TDMA arbitration.
+ *  - LocalFallbackPlanner: the graceful-degradation plan. When a
  *    payload is abandoned (or the link is declared down), the
  *    sensor finishes the event locally: every cell whose output is
  *    not already available in-sensor is recomputed there, and the
@@ -24,8 +23,9 @@
 #ifndef XPRO_SIM_FAULT_SIM_HH
 #define XPRO_SIM_FAULT_SIM_HH
 
-#include <functional>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,28 +40,6 @@
 namespace xpro
 {
 
-/** Mutable fault-injection state of one simulation run: the seeded
- *  channel chain plus the outcome counters. */
-class FaultState
-{
-  public:
-    explicit FaultState(const FaultProfile &profile)
-        : _profile(profile), _loss(profile)
-    {
-        _stats.enabled = profile.enabled;
-    }
-
-    const FaultProfile &profile() const { return _profile; }
-    LossProcess &loss() { return _loss; }
-    RobustnessReport &stats() { return _stats; }
-    const RobustnessReport &stats() const { return _stats; }
-
-  private:
-    FaultProfile _profile;
-    LossProcess _loss;
-    RobustnessReport _stats;
-};
-
 /** One packet submitted to the ARQ machine. */
 struct ArqPacket
 {
@@ -70,49 +48,117 @@ struct ArqPacket
     /** Which end transmits the data frame (decides which of the
      *  sensor's tx/rx meters each attempt charges). */
     bool senderInSensor = true;
-    /** Trace tag, e.g. "svm payload #0". */
-    std::string what;
     /** Recovery probes don't count toward packetsOffered or the
      *  outage detector's abandon streak. */
     bool isProbe = false;
-    /** Optional per-packet loss override evaluated before the
-     *  shared loss process (e.g. a scripted dead fleet node). A
-     *  forced loss consumes no stochastic draw. */
-    std::function<bool(Time)> forceLost;
+    /** Host context of the packet: the fleet member whose channel
+     *  grants and scripted dropouts apply (0 on a single node). */
+    uint32_t owner = 0;
+    /** The host's own event to run once the packet settles,
+     *  delivered or abandoned. */
+    SimEvent onSettled;
+    /** Trace tag, e.g. "svm payload #0"; left empty unless the
+     *  host captures a trace. */
+    std::string what;
 };
 
 /**
- * How the host simulator grants its (possibly shared, possibly
- * arbitrated) channel to one transmission attempt: occupy the
- * channel for @p air, then call @p on_done.
- */
-using ChannelGrant =
-    std::function<void(Time air, const std::string &what,
-                       EventQueue::Handler on_done)>;
-
-/** Fires exactly once per packet with the final outcome. */
-using ArqDone = std::function<void(bool delivered, size_t attempts)>;
-
-/**
- * Drive @p packet through bounded stop-and-wait ARQ.
+ * Fault-injection state of one simulation run: the seeded channel
+ * chain, the outcome counters and the packets in flight under
+ * bounded stop-and-wait ARQ.
  *
- * Per attempt: the packet's fate is drawn from @p faults (scripted
- * outages, then the Gilbert-Elliott chain), the per-attempt energies
- * are charged to @p sensor (if non-null) according to the sending
- * end — data frame every attempt, ACK frame only on success — and
- * the channel is acquired through @p grant for the attempt's air
- * time (data only when lost, data + ACK when delivered). A lost
- * attempt backs off per the profile's ArqConfig before retrying;
- * after maxRetries failed retries the packet is abandoned.
+ * The host drives each packet through three calls:
  *
- * @param note Optional trace hook for "retry ..."/"drop ..."
- *        markers (may be null).
+ *  - open() admits it and returns its slot;
+ *  - attempt() initiates the next attempt: it draws the packet's
+ *    fate, charges the per-attempt energies to the sensor and
+ *    returns the air time the host must then occupy its channel for
+ *    (data only when lost, data + ACK when delivered);
+ *  - settle(), once that occupation ends, either schedules the next
+ *    attempt as the event {@p attempt_kind, slot} after the
+ *    profile's backoff (the host answers it with attempt()) or
+ *    reports the final outcome and frees the slot.
+ *
+ * After 1 + maxRetries failed attempts the packet is abandoned.
+ * Slots are reused, so a steady-state run stops allocating once the
+ * high-water number of packets in flight is reached.
  */
-void runArq(EventQueue &queue, FaultState &faults,
-            const WirelessLink &link, ArqPacket packet,
-            SensorEnergyBreakdown *sensor, ChannelGrant grant,
-            std::function<void(const std::string &)> note,
-            ArqDone done);
+class ArqMachine
+{
+  public:
+    enum class Outcome
+    {
+        Retry,
+        Delivered,
+        Abandoned,
+    };
+
+    /**
+     * @param sensor Sensor meters the attempts charge (may be null).
+     * @param attempt_kind Host event kind settle() schedules for a
+     *        retry; its payload is the slot.
+     */
+    ArqMachine(const FaultProfile &profile, const WirelessLink &link,
+               EventQueue &queue, SensorEnergyBreakdown *sensor,
+               uint32_t attempt_kind);
+
+    const FaultProfile &profile() const { return _profile; }
+    RobustnessReport &stats() { return _stats; }
+
+    /** Admit @p packet; returns its slot. */
+    uint32_t open(ArqPacket packet);
+
+    /**
+     * Initiate the slot's next attempt at the current time. The
+     * fate is drawn now, when the attempt is initiated (a
+     * deterministic single-threaded order), not when the possibly
+     * backlogged channel serializes it — a documented
+     * simplification. A @p forced loss (outage window, dead fleet
+     * node) consumes no stochastic draw.
+     * @return The channel time the attempt occupies.
+     */
+    Time attempt(uint32_t slot, bool forced);
+
+    /** The slot's packet (valid until its outcome is reported). */
+    const ArqPacket &packet(uint32_t slot) const
+    {
+        return _slots[slot].packet;
+    }
+
+    /** 0-based index of the slot's ongoing attempt. */
+    size_t attemptIndex(uint32_t slot) const
+    {
+        return _slots[slot].attempt;
+    }
+
+    /**
+     * The slot's channel occupation ended: schedule the retry, or
+     * count the final outcome and free the slot (its packet's
+     * onSettled is copied to @p settled first).
+     */
+    Outcome settle(uint32_t slot, SimEvent *settled);
+
+  private:
+    struct Slot
+    {
+        ArqPacket packet;
+        AttemptCost cost;
+        /** 0-based index of the ongoing attempt. */
+        size_t attempt = 0;
+        /** Fate of the ongoing attempt. */
+        bool lost = false;
+    };
+
+    FaultProfile _profile;
+    LossProcess _loss;
+    RobustnessReport _stats;
+    const WirelessLink &_link;
+    EventQueue &_queue;
+    SensorEnergyBreakdown *_sensor;
+    uint32_t _attemptKind;
+    std::vector<Slot> _slots;
+    std::vector<uint32_t> _freeSlots;
+};
 
 /** The local-fallback plan for one partially executed event. */
 struct LocalFallback
@@ -126,20 +172,38 @@ struct LocalFallback
 };
 
 /**
- * Plan finishing event locally from time @p at.
- *
- * @p sensor_finish_at[v] is set iff cell v already started (or
- * finished) on the *sensor* end, holding its completion time; those
- * outputs are reused. Every other cell — never started, or started
- * on the now-unreachable aggregator — is recomputed in-sensor,
- * data-driven along the topology's DAG. Because each cell is
- * charged at most once per event, a degraded event's compute energy
- * never exceeds the all-in-sensor engine's (a tested invariant).
+ * Plans finishing partially executed events locally, for one placed
+ * engine. The planner keeps the topology's order and a scratch row,
+ * so planning an event does not allocate.
  */
-LocalFallback computeLocalFallback(
-    const EngineTopology &topology, const Placement &placement,
-    const std::vector<std::optional<Time>> &sensor_finish_at,
-    Time at);
+class LocalFallbackPlanner
+{
+  public:
+    LocalFallbackPlanner(const EngineTopology &topology,
+                         const Placement &placement);
+
+    /**
+     * Plan finishing one event locally from time @p at.
+     *
+     * @p sensor_finish_at[v] is set iff cell v already started (or
+     * finished) on the *sensor* end, holding its completion time;
+     * those outputs are reused. Every other cell — never started, or
+     * started on the now-unreachable aggregator — is recomputed
+     * in-sensor, data-driven along the topology's DAG. Because each
+     * cell is charged at most once per event, a degraded event's
+     * compute energy never exceeds the all-in-sensor engine's (a
+     * tested invariant).
+     */
+    LocalFallback plan(std::span<const std::optional<Time>>
+                           sensor_finish_at,
+                       Time at);
+
+  private:
+    const EngineTopology *_topology;
+    const Placement *_placement;
+    std::vector<size_t> _order;
+    std::vector<Time> _avail;
+};
 
 } // namespace xpro
 

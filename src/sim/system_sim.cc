@@ -1,8 +1,8 @@
 #include "sim/system_sim.hh"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
+#include <span>
 
 #include "common/logging.hh"
 #include "core/transfers.hh"
@@ -15,7 +15,30 @@ namespace xpro
 namespace
 {
 
-/** Shared half-duplex radio: serializes transfer requests FIFO. */
+/** Event kinds of the system simulator (SimEvent::kind). */
+enum Kind : uint32_t
+{
+    kInject,         ///< raw segment of event k acquired; payload k
+    kFinishNode,     ///< payload k * nodes + u
+    kRadioDone,      ///< the radio's current occupation ended
+    kDeliverGroup,   ///< fault-free payload landed; k * groups + g
+    kLegacyResult,   ///< fault-free result landed; payload k
+    kLocalResult,    ///< local fallback classified event k
+    kProbeTimer,     ///< send a recovery probe if still down
+    kArqAttempt,     ///< next ARQ attempt; payload slot
+    kArqChannelDone, ///< an ARQ attempt left the air; payload slot
+    // ARQ outcomes (ArqPacket::onSettled), run with the outcome.
+    kPayloadSettled, ///< cross-end payload; k * groups + g
+    kResultSettled,  ///< in-sensor fusion result; payload k
+    kReplaySettled,  ///< replayed local result; payload k
+    kProbeSettled,   ///< recovery probe
+};
+
+/**
+ * Shared half-duplex radio: serializes channel occupations FIFO.
+ * Each occupation carries the host's event to dispatch when it
+ * ends; at most one occupation is on the air at a time.
+ */
 class Radio
 {
   public:
@@ -27,39 +50,33 @@ class Radio
     }
 
     /**
-     * Request a transfer of @p cost; @p on_delivered fires when the
-     * payload lands on the other end.
-     */
-    void
-    request(const TransferCost &cost, EventQueue::Handler on_delivered,
-            const std::string &what)
-    {
-        occupy(cost.airTime, what, std::move(on_delivered));
-    }
-
-    /**
      * Occupy the channel for @p air (one ARQ attempt, or one
-     * expectation-folded transfer); @p on_done fires when the
-     * occupation ends.
+     * expectation-folded transfer); @p on_done is dispatched when
+     * the occupation ends. @p what is read only when tracing.
      */
     void
-    occupy(Time air, const std::string &what,
-           EventQueue::Handler on_done)
+    occupy(Time air, SimEvent on_done, std::string what)
     {
-        _backlog.push_back(
-            {air, std::move(on_done), _captureTrace ? what : ""});
+        _backlog.push({air, on_done, std::move(what)});
         if (!_busy)
             startNext();
     }
 
-  private:
-    struct Pending
+    /** The current occupation ended (kRadioDone): returns its
+     * continuation. The host dispatches it — it may queue the next
+     * occupation, which lands in the backlog — then calls
+     * startNext(). */
+    SimEvent
+    finish()
     {
-        Time air;
-        EventQueue::Handler onDone;
-        std::string what;
-    };
+        if (_captureTrace) {
+            _result.trace.push_back(
+                {_queue.now(), "radio done: " + _current.what});
+        }
+        return _current.onDone;
+    }
 
+    /** Put the next backlogged occupation on the air, if any. */
     void
     startNext()
     {
@@ -68,39 +85,30 @@ class Radio
             return;
         }
         _busy = true;
-        // The in-flight job lives in a member, so the completion
-        // callback needs only [this] — small enough for the
-        // std::function small-buffer slot, keeping the steady-state
-        // loop free of heap allocations. The channel is half-duplex:
-        // at most one occupation is in flight at a time.
-        _current = std::move(_backlog.front());
-        _backlog.erase(_backlog.begin());
+        _current = _backlog.take();
         if (_captureTrace) {
             _result.trace.push_back(
                 {_queue.now(), "radio start: " + _current.what});
         }
         _result.radioBusy += _current.air;
         ++_result.transfers;
-        _queue.scheduleAfter(_current.air, [this]() {
-            if (_captureTrace) {
-                _result.trace.push_back(
-                    {_queue.now(), "radio done: " + _current.what});
-            }
-            // Move the handler out first: it may request the next
-            // transfer, which must land in the backlog, not clobber
-            // the job being completed.
-            EventQueue::Handler on_done = std::move(_current.onDone);
-            on_done();
-            startNext();
-        });
+        _queue.scheduleAfter(_current.air, {kRadioDone});
     }
+
+  private:
+    struct Pending
+    {
+        Time air;
+        SimEvent onDone;
+        std::string what;
+    };
 
     EventQueue &_queue;
     SimResult &_result;
     const bool _captureTrace;
     bool _busy = false;
     Pending _current;
-    std::vector<Pending> _backlog;
+    HeadFifo<Pending> _backlog;
 };
 
 /**
@@ -125,21 +133,17 @@ class SystemSimulator
         : _topology(topology),
           _placement(placement),
           _link(link),
-          _groups(broadcastGroups(topology)),
+          _groups(topology, placement),
           _captureTrace(capture_trace),
           _radio(_queue, _result, capture_trace),
           _instances(events),
           _probeHorizon(probe_horizon)
     {
         const DataflowGraph &graph = topology.graph;
-        if (faults && faults->enabled)
-            _faults.emplace(*faults);
-        // Per-instance dataflow counters live in two flat arrays so
-        // the setup's allocation count is independent of the event
-        // count (the counting-allocator tests compare stream runs of
-        // different lengths). sensorFinishAt stays per instance: it
-        // exists only on the fault path, which is exempt from the
-        // zero-allocation claim.
+        // Per-(event, node) state lives in flat arrays so the setup's
+        // allocation count is independent of the event count (the
+        // counting-allocator tests compare stream runs of different
+        // lengths), on the fault path too.
         const size_t nodes = graph.nodeCount();
         _inputsPending.assign(events * nodes, 0);
         _done.assign(events * nodes, 0);
@@ -149,48 +153,32 @@ class SystemSimulator
                     graph.predecessors(v).size();
             }
         }
-        if (_faults) {
-            for (Instance &instance : _instances) {
-                instance.sensorFinishAt.assign(nodes, std::nullopt);
-            }
+        if (faults && faults->enabled) {
+            _arq.emplace(*faults, link, _queue, &_result.sensorEnergy,
+                         kArqAttempt);
+            _fallback.emplace(topology, placement);
+            _sensorFinishAt.assign(events * nodes, std::nullopt);
+            // An event sits in at most one of the two at a time.
+            _buffered.reserve(events);
+            _replaying.reserve(events);
         }
-        // Placement is fixed for the whole run, so each broadcast
-        // group's consumer split (same end as the producer vs the
-        // other end) is static: precompute it once instead of
-        // building an other-end vector per event. The same-end list
-        // preserves the group's consumer order, so deliveries happen
-        // in the original sequence.
-        _splits.resize(_groups.size());
-        for (size_t g = 0; g < _groups.size(); ++g) {
-            const BroadcastGroup &group = _groups[g];
-            const bool producer_in_sensor =
-                _placement.inSensor(group.producer);
-            for (size_t v : group.consumers) {
-                if (_placement.inSensor(v) == producer_in_sensor)
-                    _splits[g].sameEnd.push_back(v);
-                else
-                    _splits[g].otherEnd.push_back(v);
-            }
-        }
-        // Pre-size the event heap: all stream injections plus a few
-        // in-flight completions per event.
-        _queue.reserve(events + 32);
+        // All stream injections wait outside the heap, which then
+        // holds only a few in-flight completions.
+        _queue.reserve(events, 64);
     }
 
     /** Inject event @p k's raw segment at time @p at. */
     void
     inject(size_t k, Time at)
     {
-        _queue.schedule(at, [this, k]() {
-            completeNode(k, DataflowGraph::sourceId);
-        });
+        _queue.preload(at, {kInject, k});
     }
 
     /** Run to completion and harvest results. */
     SimResult
     run()
     {
-        _queue.runAll();
+        _queue.runAll([this](const SimEvent &event) { dispatch(event); });
         for (size_t k = 0; k < _instances.size(); ++k) {
             const Instance &instance = _instances[k];
             xproAssert(instance.resultAt.has_value(),
@@ -206,8 +194,8 @@ class SystemSimulator
                            _topology.graph.node(v).name.c_str(), k);
             }
         }
-        if (_faults) {
-            RobustnessReport &stats = _faults->stats();
+        if (_arq) {
+            RobustnessReport &stats = _arq->stats();
             stats.bufferedResults = _buffered.size();
             if (_degradedMode)
                 stats.outageTimeMs +=
@@ -234,21 +222,60 @@ class SystemSimulator
     struct Instance
     {
         std::optional<Time> resultAt;
-        Time injectedAt;
-        /** Fault path: completion time of every node that started on
-         *  the sensor end (source included), for the fallback DP. */
-        std::vector<std::optional<Time>> sensorFinishAt;
         /** Fault path: classified via the local fallback. */
         bool degraded = false;
         /** Fault path: when the local classification was produced. */
         std::optional<Time> localResultAt;
     };
 
+    size_t nodes() const { return _topology.graph.nodeCount(); }
+
+    void
+    dispatch(const SimEvent &event)
+    {
+        const uint64_t p = event.payload;
+        switch (event.kind) {
+        case kInject:
+            completeNode(p, DataflowGraph::sourceId);
+            break;
+        case kFinishNode:
+            finishNode(p / nodes(), p % nodes());
+            break;
+        case kRadioDone:
+            dispatch(_radio.finish());
+            _radio.startNext();
+            break;
+        case kDeliverGroup: {
+            const size_t k = p / _groups.size();
+            for (size_t v : _groups.otherEnd(p % _groups.size()))
+                deliverTo(k, v);
+            break;
+        }
+        case kLegacyResult:
+            _instances[p].resultAt = _queue.now();
+            break;
+        case kLocalResult:
+            localResult(p);
+            break;
+        case kProbeTimer:
+            if (_degradedMode)
+                sendProbe();
+            break;
+        case kArqAttempt:
+            attemptArq(static_cast<uint32_t>(p));
+            break;
+        case kArqChannelDone:
+            arqChannelDone(static_cast<uint32_t>(p));
+            break;
+        default:
+            panic("unknown system-simulator event kind %u", event.kind);
+        }
+    }
+
     void
     deliverTo(size_t k, size_t v)
     {
-        size_t &pending =
-            _inputsPending[k * _topology.graph.nodeCount() + v];
+        size_t &pending = _inputsPending[k * nodes() + v];
         xproAssert(pending > 0, "duplicate delivery to '%s'",
                    _topology.graph.node(v).name.c_str());
         if (--pending == 0)
@@ -259,36 +286,26 @@ class SystemSimulator
     completeNode(size_t k, size_t u)
     {
         const DataflowGraph &graph = _topology.graph;
-        Instance &instance = _instances[k];
         Time exec;
         if (u != DataflowGraph::sourceId) {
             const CellCosts &costs = graph.node(u).costs;
             if (_placement.inSensor(u)) {
                 exec = costs.sensorDelay;
                 _result.sensorEnergy.compute += costs.sensorEnergy;
-                if (_faults)
-                    instance.sensorFinishAt[u] = _queue.now() + exec;
+                if (_arq)
+                    _sensorFinishAt[k * nodes() + u] =
+                        _queue.now() + exec;
             } else {
                 exec = costs.aggregatorDelay;
             }
-        } else {
-            instance.injectedAt = _queue.now();
-            if (_faults) {
-                instance.sensorFinishAt[u] = _queue.now();
-                // Injected mid-outage: don't even try the link, go
-                // straight to the local fallback.
-                if (_degradedMode)
-                    degradeEvent(k);
-            }
+        } else if (_arq) {
+            _sensorFinishAt[k * nodes() + u] = _queue.now();
+            // Injected mid-outage: don't even try the link, go
+            // straight to the local fallback.
+            if (_degradedMode)
+                degradeEvent(k);
         }
-        // Pack (event, node) into one word so the capture fits the
-        // std::function small-buffer slot (16 bytes with `this`):
-        // no allocation per node completion.
-        const size_t nodes = graph.nodeCount();
-        _queue.scheduleAfter(exec, [this, packed = k * nodes + u]() {
-            const size_t nodes2 = _topology.graph.nodeCount();
-            finishNode(packed / nodes2, packed % nodes2);
-        });
+        _queue.scheduleAfter(exec, {kFinishNode, k * nodes() + u});
     }
 
     void
@@ -296,7 +313,7 @@ class SystemSimulator
     {
         const DataflowGraph &graph = _topology.graph;
         Instance &instance = _instances[k];
-        _done[k * graph.nodeCount() + u] = 1;
+        _done[k * nodes() + u] = 1;
         if (_captureTrace) {
             _result.trace.push_back(
                 {_queue.now(), "done " + graph.node(u).name + " #" +
@@ -311,7 +328,7 @@ class SystemSimulator
 
         if (u == _topology.fusionNode) {
             if (_placement.inSensor(u)) {
-                if (_faults)
+                if (_arq)
                     sendResult(k);
                 else
                     sendResultLegacy(k);
@@ -320,44 +337,30 @@ class SystemSimulator
             }
         }
 
-        for (size_t g = 0; g < _groups.size(); ++g) {
-            const BroadcastGroup &group = _groups[g];
-            if (group.producer != u)
-                continue;
-            const GroupSplit &split = _splits[g];
-            for (size_t v : split.sameEnd)
+        for (size_t g = _groups.first(u); g < _groups.first(u + 1);
+             ++g) {
+            for (size_t v : _groups.sameEnd(g))
                 deliverTo(k, v);
-            if (!split.otherEnd.empty()) {
-                std::string what;
-                if (_captureTrace || _faults) {
-                    what = graph.node(u).name + " payload #" +
-                           std::to_string(k);
-                }
-                if (_faults) {
-                    sendPayload(k, u, group.bits, split.otherEnd,
-                                what);
-                } else {
-                    const TransferCost cost =
-                        _link.transfer(group.bits);
-                    if (_placement.inSensor(u))
-                        _result.sensorEnergy.tx += cost.txEnergy;
-                    else
-                        _result.sensorEnergy.rx += cost.rxEnergy;
-                    // Deliveries read the static split, so the
-                    // capture is one packed (event, group) word:
-                    // allocation-free like completeNode above.
-                    const size_t groups = _groups.size();
-                    _radio.request(
-                        cost,
-                        [this, packed = k * groups + g]() {
-                            const size_t groups2 = _groups.size();
-                            const size_t k2 = packed / groups2;
-                            for (size_t v :
-                                 _splits[packed % groups2].otherEnd)
-                                deliverTo(k2, v);
-                        },
-                        what);
-                }
+            if (_groups.otherEnd(g).empty())
+                continue;
+            const size_t bits = _groups.group(g).bits;
+            const uint64_t packed = k * _groups.size() + g;
+            std::string what;
+            if (_captureTrace) {
+                what = graph.node(u).name + " payload #" +
+                       std::to_string(k);
+            }
+            if (_arq) {
+                sendArq(bits, _placement.inSensor(u),
+                        {kPayloadSettled, packed}, std::move(what));
+            } else {
+                const TransferCost cost = _link.transfer(bits);
+                if (_placement.inSensor(u))
+                    _result.sensorEnergy.tx += cost.txEnergy;
+                else
+                    _result.sensorEnergy.rx += cost.rxEnergy;
+                _radio.occupy(cost.airTime, {kDeliverGroup, packed},
+                              std::move(what));
             }
         }
     }
@@ -372,125 +375,154 @@ class SystemSimulator
         std::string what;
         if (_captureTrace)
             what = "result #" + std::to_string(k);
-        _radio.request(
-            cost,
-            [this, k]() { _instances[k].resultAt = _queue.now(); },
-            what);
+        _radio.occupy(cost.airTime, {kLegacyResult, k},
+                      std::move(what));
     }
 
     // ---- Fault-injected path -------------------------------------
 
-    ChannelGrant
-    grantFn()
-    {
-        return [this](Time air, const std::string &what,
-                      EventQueue::Handler on_done) {
-            _radio.occupy(air, what, std::move(on_done));
-        };
-    }
-
-    std::function<void(const std::string &)>
-    noteFn()
-    {
-        return [this](const std::string &what) {
-            _result.trace.push_back({_queue.now(), what});
-        };
-    }
-
-    /** Cross-end payload under ARQ. */
     void
-    sendPayload(size_t k, size_t u, size_t bits,
-                std::vector<size_t> other_end, const std::string &what)
+    note(const std::string &what)
+    {
+        if (_captureTrace)
+            _result.trace.push_back({_queue.now(), what});
+    }
+
+    /** Submit one packet to ARQ and start its first attempt. */
+    void
+    sendArq(size_t bits, bool sender_in_sensor, SimEvent on_settled,
+            std::string what, bool is_probe = false)
     {
         ArqPacket packet;
         packet.payloadBits = bits;
-        packet.senderInSensor = _placement.inSensor(u);
-        packet.what = what;
-        runArq(_queue, *_faults, _link, std::move(packet),
-               &_result.sensorEnergy, grantFn(), noteFn(),
-               [this, k, other_end = std::move(other_end)](
-                   bool delivered, size_t) {
-                   onPacketOutcome(delivered);
-                   Instance &instance = _instances[k];
-                   if (delivered) {
-                       if (!instance.degraded) {
-                           for (size_t v : other_end)
-                               deliverTo(k, v);
-                       }
-                   } else {
-                       degradeEvent(k);
-                   }
-               });
+        packet.senderInSensor = sender_in_sensor;
+        packet.isProbe = is_probe;
+        packet.onSettled = on_settled;
+        packet.what = std::move(what);
+        attemptArq(_arq->open(std::move(packet)));
+    }
+
+    void
+    attemptArq(uint32_t slot)
+    {
+        const Time air = _arq->attempt(slot, false);
+        std::string what;
+        if (_captureTrace) {
+            what = _arq->packet(slot).what;
+            if (const size_t attempt = _arq->attemptIndex(slot))
+                what += " try " + std::to_string(attempt);
+        }
+        _radio.occupy(air, {kArqChannelDone, slot}, std::move(what));
+    }
+
+    void
+    arqChannelDone(uint32_t slot)
+    {
+        std::string what; // settle() may free the slot
+        if (_captureTrace)
+            what = _arq->packet(slot).what;
+        SimEvent settled;
+        const ArqMachine::Outcome outcome = _arq->settle(slot, &settled);
+        if (outcome == ArqMachine::Outcome::Retry) {
+            if (_captureTrace)
+                note("retry " + what);
+            return;
+        }
+        const bool delivered =
+            outcome == ArqMachine::Outcome::Delivered;
+        if (!delivered && _captureTrace)
+            note("drop " + what);
+        const uint64_t p = settled.payload;
+        switch (settled.kind) {
+        case kPayloadSettled: {
+            const size_t k = p / _groups.size();
+            onPacketOutcome(delivered);
+            if (!delivered) {
+                degradeEvent(k);
+            } else if (!_instances[k].degraded) {
+                for (size_t v : _groups.otherEnd(p % _groups.size()))
+                    deliverTo(k, v);
+            }
+            break;
+        }
+        case kResultSettled:
+            onPacketOutcome(delivered);
+            if (_instances[p].degraded)
+                break;
+            if (delivered)
+                _instances[p].resultAt = _queue.now();
+            else
+                degradeEvent(p);
+            break;
+        case kReplaySettled:
+            onPacketOutcome(delivered);
+            if (delivered) {
+                ++_arq->stats().replayedResults;
+                _recoverySum +=
+                    _queue.now() - *_instances[p].localResultAt;
+            } else {
+                // Back to the shelf until the next recovery.
+                _buffered.push_back(p);
+            }
+            break;
+        case kProbeSettled:
+            if (!_degradedMode)
+                break;
+            if (delivered)
+                onPacketOutcome(true);
+            else
+                scheduleProbe();
+            break;
+        default:
+            panic("unknown ARQ outcome kind %u", settled.kind);
+        }
     }
 
     /** In-sensor fusion result under ARQ. */
     void
     sendResult(size_t k)
     {
-        ArqPacket packet;
-        packet.payloadBits = EngineTopology::resultBits;
-        packet.senderInSensor = true;
-        packet.what = "result #" + std::to_string(k);
-        runArq(_queue, *_faults, _link, std::move(packet),
-               &_result.sensorEnergy, grantFn(), noteFn(),
-               [this, k](bool delivered, size_t) {
-                   onPacketOutcome(delivered);
-                   Instance &instance = _instances[k];
-                   if (instance.degraded)
-                       return;
-                   if (delivered)
-                       instance.resultAt = _queue.now();
-                   else
-                       degradeEvent(k);
-               });
+        std::string what;
+        if (_captureTrace)
+            what = "result #" + std::to_string(k);
+        sendArq(EngineTopology::resultBits, true, {kResultSettled, k},
+                std::move(what));
     }
 
     /** Replay a buffered local classification after recovery. */
     void
     replayResult(size_t k)
     {
-        ArqPacket packet;
-        packet.payloadBits = EngineTopology::resultBits;
-        packet.senderInSensor = true;
-        packet.what = "replay result #" + std::to_string(k);
-        runArq(_queue, *_faults, _link, std::move(packet),
-               &_result.sensorEnergy, grantFn(), noteFn(),
-               [this, k](bool delivered, size_t) {
-                   onPacketOutcome(delivered);
-                   if (delivered) {
-                       ++_faults->stats().replayedResults;
-                       _recoverySum += _queue.now() -
-                                       *_instances[k].localResultAt;
-                   } else {
-                       // Back to the shelf until the next recovery.
-                       _buffered.push_back(k);
-                   }
-               });
+        std::string what;
+        if (_captureTrace)
+            what = "replay result #" + std::to_string(k);
+        sendArq(EngineTopology::resultBits, true, {kReplaySettled, k},
+                std::move(what));
     }
 
     /** Outage detector: every final packet outcome lands here. */
     void
     onPacketOutcome(bool delivered)
     {
-        RobustnessReport &stats = _faults->stats();
+        RobustnessReport &stats = _arq->stats();
         if (delivered) {
             _abandonStreak = 0;
             if (_degradedMode) {
                 _degradedMode = false;
                 stats.outageTimeMs +=
                     (_queue.now() - _outageStart).ms();
-                _result.trace.push_back({_queue.now(), "outage end"});
+                note("outage end");
                 flushBuffered();
             }
             return;
         }
         ++_abandonStreak;
         if (!_degradedMode &&
-            _abandonStreak >= _faults->profile().outageThreshold) {
+            _abandonStreak >= _arq->profile().outageThreshold) {
             _degradedMode = true;
             _outageStart = _queue.now();
             ++stats.outages;
-            _result.trace.push_back({_queue.now(), "outage start"});
+            note("outage start");
             scheduleProbe();
         }
     }
@@ -498,46 +530,35 @@ class SystemSimulator
     void
     flushBuffered()
     {
-        std::vector<size_t> pending;
-        pending.swap(_buffered);
-        for (size_t k : pending)
+        // Replays settle no earlier than their first channel
+        // occupation ends, so nothing re-shelves during the loop.
+        _replaying.swap(_buffered);
+        for (size_t k : _replaying)
             replayResult(k);
+        _replaying.clear();
     }
 
     void
     scheduleProbe()
     {
-        const Time next = _queue.now() +
-                          _faults->profile().probeInterval;
+        const Time next =
+            _queue.now() + _arq->profile().probeInterval;
         // Probing stops past the horizon so the queue always drains
         // under a permanent outage.
         if (next > _probeHorizon)
             return;
-        _queue.schedule(next, [this]() {
-            if (!_degradedMode)
-                return;
-            sendProbe();
-        });
+        _queue.schedule(next, {kProbeTimer});
     }
 
     void
     sendProbe()
     {
-        ArqPacket packet;
-        packet.payloadBits = EngineTopology::resultBits;
-        packet.senderInSensor = true;
-        packet.what = "probe #" + std::to_string(_probeCount++);
-        packet.isProbe = true;
-        runArq(_queue, *_faults, _link, std::move(packet),
-               &_result.sensorEnergy, grantFn(), noteFn(),
-               [this](bool delivered, size_t) {
-                   if (!_degradedMode)
-                       return;
-                   if (delivered)
-                       onPacketOutcome(true);
-                   else
-                       scheduleProbe();
-               });
+        std::string what;
+        if (_captureTrace)
+            what = "probe #" + std::to_string(_probeCount);
+        ++_probeCount;
+        sendArq(EngineTopology::resultBits, true, {kProbeSettled},
+                std::move(what), /*is_probe=*/true);
     }
 
     /** Finish event @p k locally from the current time. */
@@ -548,40 +569,34 @@ class SystemSimulator
         if (instance.degraded)
             return;
         instance.degraded = true;
-        ++_faults->stats().degradedEvents;
-        const Time at = _queue.now();
-        _result.trace.push_back(
-            {at, "fallback #" + std::to_string(k)});
-        const LocalFallback plan = computeLocalFallback(
-            _topology, _placement, instance.sensorFinishAt, at);
+        ++_arq->stats().degradedEvents;
+        if (_captureTrace)
+            note("fallback #" + std::to_string(k));
+        const LocalFallback plan = _fallback->plan(
+            std::span(_sensorFinishAt).subspan(k * nodes(), nodes()),
+            _queue.now());
         _result.sensorEnergy.compute += plan.compute;
-        _queue.schedule(plan.completion, [this, k]() {
-            Instance &instance = _instances[k];
-            instance.resultAt = _queue.now();
-            instance.localResultAt = _queue.now();
-            _result.trace.push_back(
-                {_queue.now(),
-                 "local result #" + std::to_string(k)});
-            if (_degradedMode)
-                _buffered.push_back(k);
-            else
-                replayResult(k);
-        });
+        _queue.schedule(plan.completion, {kLocalResult, k});
     }
 
-    /** Static consumer split of one broadcast group under the fixed
-     * placement (consumer order preserved within each list). */
-    struct GroupSplit
+    void
+    localResult(size_t k)
     {
-        std::vector<size_t> sameEnd;
-        std::vector<size_t> otherEnd;
-    };
+        Instance &instance = _instances[k];
+        instance.resultAt = _queue.now();
+        instance.localResultAt = _queue.now();
+        if (_captureTrace)
+            note("local result #" + std::to_string(k));
+        if (_degradedMode)
+            _buffered.push_back(k);
+        else
+            replayResult(k);
+    }
 
     const EngineTopology &_topology;
     const Placement &_placement;
     const WirelessLink &_link;
-    std::vector<BroadcastGroup> _groups;
-    std::vector<GroupSplit> _splits;
+    const PlacedGroups _groups;
     const bool _captureTrace;
     EventQueue _queue;
     SimResult _result;
@@ -593,12 +608,17 @@ class SystemSimulator
     std::vector<uint8_t> _done;
 
     // Fault-injection state (unused on the legacy path).
-    std::optional<FaultState> _faults;
+    std::optional<ArqMachine> _arq;
+    std::optional<LocalFallbackPlanner> _fallback;
+    /** Per-(event, node) completion time of every node that started
+     * on the sensor end (source included), for the fallback plan. */
+    std::vector<std::optional<Time>> _sensorFinishAt;
     Time _probeHorizon;
     size_t _abandonStreak = 0;
     bool _degradedMode = false;
     Time _outageStart;
     std::vector<size_t> _buffered;
+    std::vector<size_t> _replaying; ///< flushBuffered() scratch
     Time _recoverySum;
     size_t _probeCount = 0;
 };

@@ -547,6 +547,39 @@ TEST(PopulationFleetTest, NodeStateCostsTensOfBytes)
     EXPECT_LE(NodeSlabs::bytesPerNode(), 64u);
 }
 
+TEST(PopulationFleetTest, ValidateRejectsUnrepresentableConfigs)
+{
+    // The wheel packs the event index into 24 bits: 2^24 - 1 events
+    // per node is the largest accepted count.
+    PopulationFleetConfig config;
+    config.eventsPerNode = (uint64_t(1) << 24) - 1;
+    EXPECT_NO_THROW(config.validate());
+    config.eventsPerNode = uint64_t(1) << 24;
+    EXPECT_THROW(config.validate(), FatalError);
+    config.eventsPerNode = 20000000;
+    EXPECT_THROW(config.validate(), FatalError);
+    EXPECT_THROW(runPopulationFleet(config), FatalError);
+    config.eventsPerNode = 0;
+    EXPECT_THROW(config.validate(), FatalError);
+
+    config.eventsPerNode = 2;
+    config.nodes = 0;
+    EXPECT_THROW(config.validate(), FatalError);
+    config.nodes = uint64_t(UINT32_MAX) + 1;
+    EXPECT_THROW(config.validate(), FatalError);
+    config.nodes = UINT32_MAX;
+    EXPECT_NO_THROW(config.validate());
+
+    config.nodes = 100;
+    config.windowUs = 0;
+    EXPECT_THROW(config.validate(), FatalError);
+    config.windowUs = 100000;
+    config.archetypes = syntheticArchetypes();
+    EXPECT_NO_THROW(config.validate());
+    config.archetypes[0].periodUs = 0;
+    EXPECT_THROW(config.validate(), FatalError);
+}
+
 TEST(PopulationFleetTest, ReportCoversTheWholePopulation)
 {
     PopulationFleetConfig config;

@@ -78,9 +78,13 @@ TEST(SimdKernelTest, ScaleMatchesScalarReferenceExactly)
         std::vector<double> simd(n, -1.0), scalar(n, -1.0);
         simdScale(simd.data(), src.data(), c, n);
         scalar_ref::scale(scalar.data(), src.data(), c, n);
-        EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
-                                 n * sizeof(double)))
-            << "n=" << n;
+        // memcmp needs non-null pointers even for zero bytes, and
+        // an empty vector's data() may be null.
+        if (n > 0) {
+            EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
+                                     n * sizeof(double)))
+                << "n=" << n;
+        }
     }
 }
 
@@ -94,9 +98,13 @@ TEST(SimdKernelTest, AxpyMatchesScalarReferenceExactly)
         std::vector<double> simd = base, scalar = base;
         simdAxpy(simd.data(), src.data(), c, n);
         scalar_ref::axpy(scalar.data(), src.data(), c, n);
-        EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
-                                 n * sizeof(double)))
-            << "n=" << n;
+        // memcmp needs non-null pointers even for zero bytes, and
+        // an empty vector's data() may be null.
+        if (n > 0) {
+            EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
+                                     n * sizeof(double)))
+                << "n=" << n;
+        }
     }
 }
 

@@ -30,35 +30,64 @@ const WirelessLink link2(transceiver(WirelessModel::Model2));
 TEST(EventQueueTest, RunsInTimeOrder)
 {
     EventQueue queue;
-    std::vector<int> order;
-    queue.schedule(Time::millis(3.0), [&] { order.push_back(3); });
-    queue.schedule(Time::millis(1.0), [&] { order.push_back(1); });
-    queue.schedule(Time::millis(2.0), [&] { order.push_back(2); });
-    queue.runAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    std::vector<uint32_t> order;
+    queue.schedule(Time::millis(3.0), {3});
+    queue.schedule(Time::millis(1.0), {1});
+    queue.schedule(Time::millis(2.0), {2});
+    queue.runAll([&](const SimEvent &event) {
+        order.push_back(event.kind);
+    });
+    EXPECT_EQ(order, (std::vector<uint32_t>{1, 2, 3}));
     EXPECT_DOUBLE_EQ(queue.now().ms(), 3.0);
 }
 
 TEST(EventQueueTest, SimultaneousEventsKeepFifoOrder)
 {
     EventQueue queue;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        queue.schedule(Time::millis(1.0),
-                       [&order, i] { order.push_back(i); });
-    queue.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    std::vector<uint64_t> order;
+    for (uint64_t i = 0; i < 5; ++i)
+        queue.schedule(Time::millis(1.0), {0, i});
+    queue.runAll([&](const SimEvent &event) {
+        order.push_back(event.payload);
+    });
+    EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueueTest, PreloadedEventsMergeInTimeThenFifoOrder)
+{
+    // Preloaded injections (out of time order, as a fleet's members
+    // inject) interleave with events scheduled during the run
+    // exactly as if everything had gone through schedule(): by
+    // time, then by scheduling order.
+    EventQueue queue;
+    queue.preload(Time::millis(2.0), {0, 20});
+    queue.preload(Time::millis(1.0), {0, 10});
+    queue.preload(Time::millis(2.0), {0, 21});
+    EXPECT_EQ(queue.pending(), 3u);
+    std::vector<uint64_t> order;
+    queue.runAll([&](const SimEvent &event) {
+        order.push_back(event.payload);
+        if (event.payload == 10) {
+            // Same time as the preloaded 2 ms events but scheduled
+            // later: runs after both.
+            queue.schedule(Time::millis(2.0), {0, 30});
+            queue.scheduleAfter(Time::millis(0.5), {0, 15});
+        }
+    });
+    EXPECT_EQ(order, (std::vector<uint64_t>{10, 15, 20, 21, 30}));
+    EXPECT_EQ(queue.pending(), 0u);
 }
 
 TEST(EventQueueTest, HandlersMayScheduleMoreEvents)
 {
     EventQueue queue;
     int fired = 0;
-    queue.schedule(Time::millis(1.0), [&] {
+    queue.schedule(Time::millis(1.0), {1});
+    queue.runAll([&](const SimEvent &event) {
         ++fired;
-        queue.scheduleAfter(Time::millis(1.0), [&] { ++fired; });
+        if (event.kind == 1)
+            queue.scheduleAfter(Time::millis(1.0), {2});
     });
-    queue.runAll();
     EXPECT_EQ(fired, 2);
     EXPECT_DOUBLE_EQ(queue.now().ms(), 2.0);
 }
@@ -66,20 +95,53 @@ TEST(EventQueueTest, HandlersMayScheduleMoreEvents)
 TEST(EventQueueTest, SchedulingIntoThePastPanics)
 {
     EventQueue queue;
-    queue.schedule(Time::millis(2.0), [&] {
-        queue.schedule(Time::millis(1.0), [] {});
-    });
-    EXPECT_THROW(queue.runAll(), PanicError);
+    queue.schedule(Time::millis(2.0), {1});
+    EXPECT_THROW(queue.runAll([&](const SimEvent &) {
+                     queue.schedule(Time::millis(1.0), {2});
+                 }),
+                 PanicError);
+}
+
+TEST(EventQueueTest, PreloadAfterTheRunStartedPanics)
+{
+    EventQueue queue;
+    queue.preload(Time::millis(1.0), {1});
+    EXPECT_THROW(queue.runAll([&](const SimEvent &) {
+                     queue.preload(Time::millis(2.0), {2});
+                 }),
+                 PanicError);
 }
 
 TEST(EventQueueTest, RunawayLoopIsCaught)
 {
     EventQueue queue;
-    std::function<void()> respawn = [&] {
-        queue.scheduleAfter(Time::nanos(1.0), respawn);
-    };
-    queue.schedule(Time(), respawn);
-    EXPECT_THROW(queue.runAll(100), PanicError);
+    queue.schedule(Time(), {1});
+    EXPECT_THROW(queue.runAll(
+                     [&](const SimEvent &event) {
+                         queue.scheduleAfter(Time::nanos(1.0), event);
+                     },
+                     100),
+                 PanicError);
+}
+
+TEST(HeadFifoTest, PopsInOrderAndTakesFromTheMiddle)
+{
+    HeadFifo<int> fifo;
+    for (int i = 0; i < 200; ++i)
+        fifo.push(i);
+    for (int i = 0; i < 150; ++i)
+        ASSERT_EQ(fifo.take(), i);
+    EXPECT_EQ(fifo.size(), 50u);
+    EXPECT_EQ(fifo[0], 150);
+    EXPECT_EQ(fifo.take(2), 152);
+    EXPECT_EQ(fifo.take(), 150);
+    EXPECT_EQ(fifo.take(), 151);
+    EXPECT_EQ(fifo.take(), 153);
+    while (!fifo.empty())
+        fifo.take();
+    fifo.push(7);
+    EXPECT_EQ(fifo.size(), 1u);
+    EXPECT_EQ(fifo.take(), 7);
 }
 
 TEST(SystemSimTest, EnergiesMatchAnalyticModelExactly)
@@ -251,6 +313,29 @@ TEST(SystemSimTest, EventLoopAllocationsIndependentOfEventCount)
     const size_t many = measure(40);
     EXPECT_EQ(few, many)
         << "the per-event loop must not touch the heap";
+}
+
+TEST(SystemSimTest, FaultPathAllocationsIndependentOfEventCount)
+{
+    // The fault-injected twin of the test above: ARQ retries,
+    // abandons, outages, probes, local fallbacks and replays all run
+    // on reused storage (the ARQ slot table, flat per-(event, node)
+    // fallback state), so the allocation count of a lossy stream
+    // run does not grow with its length either.
+    const EngineTopology topo = chainTopology(100, 200, 50, 4096);
+    const Placement placement = Placement::trivialCut(topo);
+    FaultProfile faults = FaultProfile::preset("bursty");
+    faults.outages = {{Time::millis(500.0), Time::millis(1500.0)}};
+    const auto measure = [&](size_t events) {
+        xpro::testing::AllocScope scope;
+        simulateStream(topo, placement, link2, 4.0, events, faults);
+        return scope.count();
+    };
+    measure(5);
+    const size_t few = measure(10);
+    const size_t many = measure(40);
+    EXPECT_EQ(few, many)
+        << "the fault-path event loop must not touch the heap";
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * slab merge order-invariance, JSON/table export shape, and the
  * tentpole contract — the stable section of a population-fleet
  * snapshot is byte-identical at any shards x workers combination.
- * Runs under the `obs` label (TSan-checked by check_tsan_fleet.sh).
+ * Runs under the `obs` label (TSan-checked with the whole suite by
+ * scripts/check_sanitizers.sh).
  */
 
 #include <gtest/gtest.h>

@@ -340,6 +340,7 @@ runPopulationMode(uint64_t nodes, size_t shards, size_t workers,
     config.tiers = tiers;
     config.chaos = chaos;
     config.faults = faults;
+    config.validate();
 
     const PopulationFleetResult result = runPopulationFleet(config);
     // The effective count can be lower than requested: a shard owns
