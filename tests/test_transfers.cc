@@ -113,4 +113,35 @@ TEST(TransfersTest, GroupCountBoundedByEdges)
     EXPECT_EQ(total_consumers, edges);
 }
 
+TEST(TransfersTest, PlacedGroupsIndexByProducerAndSplitByEnd)
+{
+    // Nodes: source 0, feature_a 1, feature_b 2, svm_a 3, svm_b 4,
+    // fusion 5; svm_a and fusion sit in the aggregator.
+    const EngineTopology topo = test::fanOutTopology();
+    const Placement placement = Placement::fromMask(
+        topo, {true, true, true, false, true, false});
+    const PlacedGroups groups(topo, placement);
+    ASSERT_EQ(groups.size(), 6u);
+
+    const std::vector<size_t> first = {0, 1, 3, 4, 5, 6, 6};
+    for (size_t u = 0; u < first.size(); ++u)
+        EXPECT_EQ(groups.first(u), first[u]) << "producer " << u;
+    for (size_t u = 0; u + 1 < first.size(); ++u) {
+        for (size_t g = groups.first(u); g < groups.first(u + 1); ++g)
+            EXPECT_EQ(groups.group(g).producer, u);
+    }
+
+    // feature_a's two payloads: 64 bits to svm_b (same end), then
+    // 256 bits to svm_a (across the link).
+    EXPECT_EQ(groups.sameEnd(0), (std::vector<size_t>{1, 2}));
+    EXPECT_TRUE(groups.otherEnd(0).empty());
+    EXPECT_EQ(groups.group(1).bits, 64u);
+    EXPECT_EQ(groups.sameEnd(1), (std::vector<size_t>{4}));
+    EXPECT_EQ(groups.group(2).bits, 256u);
+    EXPECT_EQ(groups.otherEnd(2), (std::vector<size_t>{3}));
+    EXPECT_TRUE(groups.sameEnd(2).empty());
+    EXPECT_EQ(groups.sameEnd(4), (std::vector<size_t>{5}));
+    EXPECT_EQ(groups.otherEnd(5), (std::vector<size_t>{5}));
+}
+
 } // namespace
