@@ -17,7 +17,7 @@
  *     event queue: sensor-side cells run in parallel (every node
  *     owns its silicon), but inter-end payloads serialize over one
  *     half-duplex radio channel under a pluggable arbitration
- *     policy (fleet/radio_sched), and aggregator-side cells
+ *     policy (sim/radio_sched), and aggregator-side cells
  *     serialize on the single aggregator CPU. Per-node deadline
  *     misses, radio occupancy and aggregator utilization fall out.
  *  4. Serving (optional, FleetConfig::servingEvents > 0). The
@@ -42,9 +42,10 @@
 #include "data/testcases.hh"
 #include "fleet/admission.hh"
 #include "fleet/chaos.hh"
-#include "fleet/radio_sched.hh"
 #include "fleet/tiers.hh"
 #include "common/worker_pool.hh"
+#include "sim/radio_sched.hh"
+#include "sim/system_sim.hh"
 #include "wireless/fault.hh"
 
 namespace xpro
@@ -68,22 +69,6 @@ enum class RadioPolicy
 {
     Fcfs,
     Tdma,
-};
-
-/**
- * Scripted dropout of one fleet node: every packet the node offers
- * (or is offered) during [start, end) is lost, deterministic and
- * independent of the stochastic channel. Models one body walking
- * out of range while the rest of the fleet keeps operating; the
- * bounded ARQ keeps each of the dead node's packets on the channel
- * for a bounded time, so FCFS/TDMA arbitration never stalls on it.
- */
-struct NodeOutage
-{
-    /** Index into FleetConfig::nodes. */
-    size_t node = 0;
-    Time start;
-    Time end;
 };
 
 /** Full configuration of one fleet run. */
@@ -169,21 +154,6 @@ struct FleetMember
     double eventsPerSecond = 4.0;
 };
 
-/** Event-level outcome for one member. */
-struct MemberSimResult
-{
-    size_t events = 0;
-    /** Events finishing after the next segment was acquired. */
-    size_t deadlineMisses = 0;
-    Time meanLatency;
-    Time worstLatency;
-    /** Completion time of the member's first event. */
-    Time firstCompletion;
-    /** Events classified via the node's local fallback (only
-     *  nonzero in fault-injected runs). */
-    size_t degradedEvents = 0;
-};
-
 /** Event-level outcome of a fleet simulation. */
 struct FleetSimResult
 {
@@ -203,25 +173,22 @@ struct FleetSimResult
 /**
  * Simulate @p events_per_node events of every member, all sharing
  * one half-duplex radio (arbitrated by @p arbiter) and one
- * aggregator CPU. Deterministic for a fixed member order.
- */
-FleetSimResult simulateFleet(const std::vector<FleetMember> &members,
-                             const WirelessLink &link,
-                             const RadioArbiter &arbiter,
-                             size_t events_per_node);
-
-/**
- * Fault-injected fleet simulation: one Gilbert-Elliott loss chain
- * on the shared channel (draws consumed in deterministic event
- * order), bounded ARQ per transfer, a per-node outage detector with
- * local fallback, plus scripted per-node dropouts. A disabled
- * profile with no outages is exactly the overload above.
+ * aggregator CPU, on the detailed simulator (sim/system_sim).
+ * Deterministic for a fixed member order.
+ *
+ * With an enabled @p faults profile, one Gilbert-Elliott loss chain
+ * runs on the shared channel (draws consumed in deterministic event
+ * order), with bounded ARQ per transfer and a per-node outage
+ * detector with local fallback. Scripted per-node dropouts
+ * (@p node_outages) are honored even with a disabled profile: they
+ * ride on the ARQ/fallback machinery over an otherwise loss-free
+ * channel.
  */
 FleetSimResult simulateFleet(const std::vector<FleetMember> &members,
                              const WirelessLink &link,
                              const RadioArbiter &arbiter,
                              size_t events_per_node,
-                             const FaultProfile &faults,
+                             const FaultProfile &faults = {},
                              const std::vector<NodeOutage>
                                  &node_outages = {});
 

@@ -34,6 +34,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -181,6 +182,14 @@ class HeadFifo
 
     /** Element @p i positions behind the front. */
     const T &operator[](size_t i) const { return _items[_head + i]; }
+
+    /** The queued elements, front first (valid until the next
+     *  push or take). */
+    std::span<const T>
+    view() const
+    {
+        return std::span<const T>(_items).subspan(_head);
+    }
 
     /** Remove and return element @p i (0 = the front). */
     T

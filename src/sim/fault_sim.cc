@@ -41,7 +41,7 @@ arqStatIds()
 
 ArqMachine::ArqMachine(const FaultProfile &profile,
                        const WirelessLink &link, EventQueue &queue,
-                       SensorEnergyBreakdown *sensor,
+                       SensorEnergyBreakdown &sensor,
                        uint32_t attempt_kind)
     : _profile(profile), _loss(profile), _link(link), _queue(queue),
       _sensor(sensor), _attemptKind(attempt_kind)
@@ -85,16 +85,14 @@ ArqMachine::attempt(uint32_t slot, bool forced)
 
     // The receiver listens for the data frame on every attempt; the
     // ACK exchange happens only when the frame got through.
-    if (_sensor) {
-        if (job.packet.senderInSensor) {
-            _sensor->tx += job.cost.dataTx;
-            if (!job.lost)
-                _sensor->rx += job.cost.ackRx;
-        } else {
-            _sensor->rx += job.cost.dataRx;
-            if (!job.lost)
-                _sensor->tx += job.cost.ackTx;
-        }
+    if (job.packet.senderInSensor) {
+        _sensor.tx += job.cost.dataTx;
+        if (!job.lost)
+            _sensor.rx += job.cost.ackRx;
+    } else {
+        _sensor.rx += job.cost.dataRx;
+        if (!job.lost)
+            _sensor.tx += job.cost.ackTx;
     }
     return job.lost ? job.cost.dataAirTime
                     : job.cost.dataAirTime + job.cost.ackAirTime;

@@ -1,16 +1,17 @@
 /**
  * @file
- * Fault-injected transfer machinery shared by the single-node system
- * simulator (sim/system_sim) and the fleet simulator (fleet/fleet):
+ * Fault-injected transfer machinery of the detailed cross-end
+ * simulator (sim/system_sim), which drives single nodes and fleets
+ * alike:
  *
  *  - ArqMachine: one seeded loss process, the run's RobustnessReport
  *    counters and bounded stop-and-wait ARQ over a reused slot table
- *    of in-flight packets. The host simulator drives it with typed
- *    events on its own EventQueue and grants its own channel (the
- *    single-node FIFO radio or the fleet's arbitrated shared radio)
- *    to each attempt separately, so the channel is free for other
- *    traffic during ACK timeouts and backoff — which is also what
- *    keeps a dead node from stalling FCFS/TDMA arbitration.
+ *    of in-flight packets. The simulator drives it with typed events
+ *    on its EventQueue and grants its arbitrated radio (sim/
+ *    radio_sched) to each attempt separately, so the channel is free
+ *    for other traffic during ACK timeouts and backoff — which is
+ *    also what keeps a dead node from stalling FCFS/TDMA
+ *    arbitration.
  *  - LocalFallbackPlanner: the graceful-degradation plan. When a
  *    payload is abandoned (or the link is declared down), the
  *    sensor finishes the event locally: every cell whose output is
@@ -51,14 +52,14 @@ struct ArqPacket
     /** Recovery probes don't count toward packetsOffered or the
      *  outage detector's abandon streak. */
     bool isProbe = false;
-    /** Host context of the packet: the fleet member whose channel
+    /** The member (node) that sends the packet: whose channel
      *  grants and scripted dropouts apply (0 on a single node). */
     uint32_t owner = 0;
-    /** The host's own event to run once the packet settles,
+    /** The simulator's own event to run once the packet settles,
      *  delivered or abandoned. */
     SimEvent onSettled;
     /** Trace tag, e.g. "svm payload #0"; left empty unless the
-     *  host captures a trace. */
+     *  simulator captures a trace. */
     std::string what;
 };
 
@@ -67,16 +68,16 @@ struct ArqPacket
  * chain, the outcome counters and the packets in flight under
  * bounded stop-and-wait ARQ.
  *
- * The host drives each packet through three calls:
+ * The simulator drives each packet through three calls:
  *
  *  - open() admits it and returns its slot;
  *  - attempt() initiates the next attempt: it draws the packet's
  *    fate, charges the per-attempt energies to the sensor and
- *    returns the air time the host must then occupy its channel for
- *    (data only when lost, data + ACK when delivered);
+ *    returns the air time the simulator must then occupy its radio
+ *    for (data only when lost, data + ACK when delivered);
  *  - settle(), once that occupation ends, either schedules the next
  *    attempt as the event {@p attempt_kind, slot} after the
- *    profile's backoff (the host answers it with attempt()) or
+ *    profile's backoff (the simulator answers it with attempt()) or
  *    reports the final outcome and frees the slot.
  *
  * After 1 + maxRetries failed attempts the packet is abandoned.
@@ -94,12 +95,12 @@ class ArqMachine
     };
 
     /**
-     * @param sensor Sensor meters the attempts charge (may be null).
-     * @param attempt_kind Host event kind settle() schedules for a
+     * @param sensor Sensor meters the attempts charge.
+     * @param attempt_kind Simulator event kind settle() schedules for a
      *        retry; its payload is the slot.
      */
     ArqMachine(const FaultProfile &profile, const WirelessLink &link,
-               EventQueue &queue, SensorEnergyBreakdown *sensor,
+               EventQueue &queue, SensorEnergyBreakdown &sensor,
                uint32_t attempt_kind);
 
     const FaultProfile &profile() const { return _profile; }
@@ -154,7 +155,7 @@ class ArqMachine
     RobustnessReport _stats;
     const WirelessLink &_link;
     EventQueue &_queue;
-    SensorEnergyBreakdown *_sensor;
+    SensorEnergyBreakdown &_sensor;
     uint32_t _attemptKind;
     std::vector<Slot> _slots;
     std::vector<uint32_t> _freeSlots;

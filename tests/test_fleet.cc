@@ -267,6 +267,37 @@ TEST(FleetSimTest, SingleMemberMatchesSingleNodeSimulator)
                 single.completion.ms(), 1e-9);
     EXPECT_EQ(fleet.members[0].deadlineMisses, 0u);
     EXPECT_EQ(fleet.transfers, 3 * single.transfers);
+
+    // A one-member fleet streams exactly like simulateStream, on the
+    // fault path too: bursty channel plus outage windows that trip
+    // the outage detector (the golden-digest fault profile).
+    const EngineTopology chain = chainTopology(100, 200, 50, 4096);
+    FaultProfile bursty = FaultProfile::preset("bursty");
+    bursty.seed = 11;
+    bursty.outages = {{Time(), Time::millis(3.0)},
+                      {Time::millis(100.0), Time::millis(300.0)}};
+    size_t degraded = 0;
+    for (const Placement &placement :
+         {Placement::allInSensor(chain), Placement::allInAggregator(chain),
+          Placement::trivialCut(chain)}) {
+        for (const FaultProfile &faults : {FaultProfile(), bursty}) {
+            const StreamResult stream = simulateStream(
+                chain, placement, link2, 25.0, 16, faults);
+            const FleetSimResult one = simulateFleet(
+                {{chain, placement, 25.0}}, link2, fcfs, 16, faults);
+            const MemberSimResult &member = one.members.at(0);
+            EXPECT_EQ(member.events, stream.events);
+            EXPECT_EQ(member.worstLatency.sec(),
+                      stream.worstLatency.sec());
+            EXPECT_EQ(member.meanLatency.sec(), stream.meanLatency.sec());
+            EXPECT_EQ(member.deadlineMisses, stream.deadlineMisses);
+            EXPECT_EQ(member.degradedEvents, stream.degradedEvents);
+            EXPECT_EQ(one.robustness.serialize(),
+                      stream.robustness.serialize());
+            degraded += stream.degradedEvents;
+        }
+    }
+    EXPECT_GT(degraded, 0u) << "the fault input must degrade events";
 }
 
 TEST(FleetSimTest, TwoNodesContendOnTheSharedRadio)

@@ -13,6 +13,7 @@
 #include "common/random.hh"
 #include "core/delay_model.hh"
 #include "core/partitioner.hh"
+#include "obs/stats_registry.hh"
 #include "sim/event_queue.hh"
 #include "sim/system_sim.hh"
 #include "topology_fixtures.hh"
@@ -336,6 +337,28 @@ TEST(SystemSimTest, FaultPathAllocationsIndependentOfEventCount)
     const size_t many = measure(40);
     EXPECT_EQ(few, many)
         << "the fault-path event loop must not touch the heap";
+}
+
+TEST(SystemSimTest, LongFaultInjectedStreamRunsPastAMillionEvents)
+{
+    // The runaway-loop cap is sized from the run's own inputs, not
+    // a fixed count: a legitimate lossy stream whose queue pops well
+    // over a million events completes.
+    const EngineTopology topo = chainTopology(100, 200, 50, 4096);
+    const Placement placement = Placement::trivialCut(topo);
+    FaultProfile faults = FaultProfile::preset("bursty");
+    faults.seed = 11;
+    const size_t events = 200000;
+    StatsRegistry &reg = StatsRegistry::instance();
+    const uint64_t before = reg.snapshot().value("sim.events_run");
+    const StreamResult stream =
+        simulateStream(topo, placement, link2, 25.0, events, faults);
+    EXPECT_EQ(stream.events, events);
+    EXPECT_GT(stream.robustness.packetsAbandoned, 0u);
+    if constexpr (kStatsEnabled) {
+        EXPECT_GT(reg.snapshot().value("sim.events_run") - before,
+                  1000000u);
+    }
 }
 
 } // namespace
