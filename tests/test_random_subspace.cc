@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -23,7 +25,8 @@ using namespace xpro;
  * where only some features suit a given biosignal.
  */
 LabeledData
-poolData(Rng &rng, size_t n, size_t pool, std::set<size_t> informative)
+poolData(Rng &rng, size_t n, size_t pool, std::set<size_t> informative,
+         double spread = 0.35)
 {
     LabeledData data;
     for (size_t i = 0; i < n; ++i) {
@@ -31,7 +34,7 @@ poolData(Rng &rng, size_t n, size_t pool, std::set<size_t> informative)
         std::vector<double> row(pool);
         for (size_t c = 0; c < pool; ++c) {
             if (informative.count(c)) {
-                row[c] = rng.gaussian(positive ? 1.0 : -1.0, 0.35);
+                row[c] = rng.gaussian(positive ? 1.0 : -1.0, spread);
             } else {
                 row[c] = rng.gaussian(0.0, 1.0);
             }
@@ -179,6 +182,52 @@ TEST(RandomSubspaceTest, EnsembleBeatsWorstBase)
             std::min(worst_base, base.model.accuracy(projected));
     }
     EXPECT_GE(ensemble.accuracy(test) + 1e-9, worst_base);
+}
+
+/** FNV-1a, 64-bit. */
+uint64_t
+digest(const std::string &text)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/**
+ * Golden digest of the least-squares fusion weights and bias, printed
+ * with %.17g so the text round-trips exactly. It pins the normal
+ * equations and the elimination order bit for bit: update it only for
+ * an intended change of the fusion arithmetic, never for a
+ * refactoring. On a mismatch the failure prints the new digest.
+ */
+TEST(RandomSubspaceTest, FusionWeightsMatchGoldenDigest)
+{
+    Rng rng(419);
+    // Overlapping classes, so the bases disagree and the fit has
+    // distinct weights to pin.
+    const LabeledData train =
+        poolData(rng, 120, 20, {2, 6, 11}, 1.5);
+    RandomSubspaceConfig config = smallConfig(41);
+    config.keepFraction = 0.3;
+    const RandomSubspace ensemble =
+        RandomSubspace::train(train, config);
+    ASSERT_EQ(ensemble.fusionWeights().size(), 9u);
+
+    std::string text;
+    char buf[64];
+    for (double w : ensemble.fusionWeights()) {
+        std::snprintf(buf, sizeof(buf), "%.17g ", w);
+        text += buf;
+    }
+    std::snprintf(buf, sizeof(buf), "bias %.17g", ensemble.fusionBias());
+    text += buf;
+    const uint64_t got = digest(text);
+    EXPECT_EQ(got, 0x8c8edab09cd5c776ULL)
+        << "digest 0x" << std::hex << got << "\n"
+        << text;
 }
 
 TEST(RandomSubspaceTest, SubspaceLargerThanPoolPanics)
