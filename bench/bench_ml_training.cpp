@@ -325,24 +325,23 @@ trainEnsemble(const Data &data, const RandomSubspaceConfig &config)
     ensemble.bases = std::move(candidates);
 
     const size_t members = ensemble.bases.size();
-    Matrix design(data.size(), members + 1);
-    Matrix target(data.size(), 1);
+    FlatMatrix design(data.size(), members + 1);
+    std::vector<double> target(data.size());
     for (size_t i = 0; i < data.size(); ++i) {
+        double *row = design.rowData(i);
         for (size_t m = 0; m < members; ++m) {
             const Base &base = ensemble.bases[m];
             const int vote = base.model.predict(
                 project(data.rows[i], base.featureIndices));
-            design(i, m) = static_cast<double>(vote);
+            row[m] = static_cast<double>(vote);
         }
-        design(i, members) = 1.0;
-        target(i, 0) = static_cast<double>(data.labels[i]);
+        row[members] = 1.0;
+        target[i] = static_cast<double>(data.labels[i]);
     }
-    const Matrix weights =
-        Matrix::leastSquares(design, target, config.fusionRidge);
-    ensemble.weights.resize(members);
-    for (size_t m = 0; m < members; ++m)
-        ensemble.weights[m] = weights(m, 0);
-    ensemble.weightBias = weights(members, 0);
+    const std::vector<double> weights =
+        ridgeLeastSquares(design, target, config.fusionRidge);
+    ensemble.weights.assign(weights.begin(), weights.end() - 1);
+    ensemble.weightBias = weights.back();
     return ensemble;
 }
 

@@ -1,17 +1,15 @@
 /**
  * @file
- * Small dense matrix with the linear-algebra kernels the reproduction
- * needs: products, transpose, Gaussian-elimination solve and ridge
- * least squares (used to train the weighted-voting score fusion of
- * the random-subspace classifier).
+ * Flat row-major sample storage of the ML hot path: RowView (a
+ * non-owning view of one contiguous row) and FlatMatrix (equal-length
+ * rows in one contiguous buffer, growable by row, with a blocked
+ * GEMM-style row-by-row product). The classifier's Gram matrices,
+ * support vectors and datasets all live in FlatMatrix so kernel
+ * evaluations stream contiguous memory instead of chasing one heap
+ * allocation per sample.
  *
- * Also the flat row-major sample storage of the ML hot path:
- * RowView (a non-owning view of one contiguous row) and FlatMatrix
- * (equal-length rows in one contiguous buffer, growable by row, with
- * a blocked GEMM-style row-by-row product). The classifier's Gram
- * matrices, support vectors and datasets all live in FlatMatrix so
- * kernel evaluations stream contiguous memory instead of chasing one
- * heap allocation per sample.
+ * Also ridge least squares, which trains the weighted-voting score
+ * fusion of the random-subspace classifier.
  */
 
 #ifndef XPRO_COMMON_MATRIX_HH
@@ -92,10 +90,6 @@ class FlatMatrix
     /** Build from nested initializer lists (row major). */
     FlatMatrix(
         std::initializer_list<std::initializer_list<double>> rows);
-
-    /** Copy from a vector-of-vectors row container. */
-    static FlatMatrix
-    fromRows(const std::vector<std::vector<double>> &rows);
 
     /** Number of rows. */
     size_t size() const { return _rows; }
@@ -182,65 +176,18 @@ class FlatMatrix
     std::vector<double> _data;
 };
 
-/** Dense row-major matrix of doubles. */
-class Matrix
-{
-  public:
-    /** Construct an empty (0 x 0) matrix. */
-    Matrix() : _rows(0), _cols(0) {}
-
-    /** Construct a rows x cols matrix initialized to @p fill. */
-    Matrix(size_t rows, size_t cols, double fill = 0.0);
-
-    /** Identity matrix of order n. */
-    static Matrix identity(size_t n);
-
-    /** Build a column vector from @p values. */
-    static Matrix columnVector(const std::vector<double> &values);
-
-    size_t rows() const { return _rows; }
-    size_t cols() const { return _cols; }
-
-    double &at(size_t r, size_t c) { return _data[r * _cols + c]; }
-    double at(size_t r, size_t c) const { return _data[r * _cols + c]; }
-
-    double &operator()(size_t r, size_t c) { return at(r, c); }
-    double operator()(size_t r, size_t c) const { return at(r, c); }
-
-    Matrix operator+(const Matrix &other) const;
-    Matrix operator-(const Matrix &other) const;
-    Matrix operator*(const Matrix &other) const;
-    Matrix operator*(double scalar) const;
-
-    Matrix transpose() const;
-
-    /** Frobenius norm. */
-    double norm() const;
-
-    /** Flatten to a std::vector (row-major). */
-    std::vector<double> flatten() const;
-
-    /**
-     * Solve A x = b by Gaussian elimination with partial pivoting.
-     * A must be square and non-singular; b must be a column vector of
-     * matching size. Calls fatal() on singular systems.
-     */
-    static Matrix solve(Matrix a, Matrix b);
-
-    /**
-     * Ridge least squares: minimize |A x - b|^2 + ridge * |x|^2 via
-     * the normal equations. With ridge == 0 this is ordinary least
-     * squares; a small positive ridge keeps near-collinear ensemble
-     * score columns well-conditioned.
-     */
-    static Matrix
-    leastSquares(const Matrix &a, const Matrix &b, double ridge = 0.0);
-
-  private:
-    size_t _rows;
-    size_t _cols;
-    std::vector<double> _data;
-};
+/**
+ * Ridge least squares: the x minimizing |A x - b|^2 + ridge * |x|^2,
+ * from the normal equations (A^T A + ridge I) x = A^T b solved by
+ * Gaussian elimination with partial pivoting. With ridge == 0 this
+ * is ordinary least squares; a small positive ridge keeps
+ * near-collinear ensemble score columns well-conditioned. Each
+ * normal-equation entry accumulates over the rows of @p a in order,
+ * skipping zero entries of A^T. Calls fatal() on a singular system.
+ */
+std::vector<double> ridgeLeastSquares(const FlatMatrix &a,
+                                      const std::vector<double> &b,
+                                      double ridge = 0.0);
 
 } // namespace xpro
 

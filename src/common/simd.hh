@@ -10,13 +10,12 @@
  * (tests/test_hotpath_identity.cc, ctest label `hotpath`) enforces
  * with *exact* comparisons — no ULP slack needed.
  *
- * The wrapper dispatches at load time: a generic C++ fallback
- * everywhere, hand-written SSE2 intrinsics on x86-64 (baseline ISA,
- * no extra compile flags), and AVX2 intrinsics from a separately
- * compiled translation unit selected with __builtin_cpu_supports()
- * when both the compiler and the host CPU have AVX2. None of the
- * paths uses FMA contraction, so per-lane arithmetic is identical
- * across backends.
+ * The wrapper dispatches at load time: AVX2 intrinsics from a
+ * separately compiled translation unit, selected with
+ * __builtin_cpu_supports() when both the compiler and the host CPU
+ * have AVX2, and otherwise the scalar_ref loops below, which are
+ * also the tests' references. Neither path uses FMA contraction, so
+ * per-lane arithmetic is identical across the two.
  *
  * The workhorse is the packed dot-product micro-kernel: the right
  * operand is transposed into a fixed-width interleaved tile
@@ -43,11 +42,8 @@ namespace xpro
  */
 constexpr size_t simdPackWidth = 8;
 
-/** Name of the dispatched backend: "generic", "sse2" or "avx2". */
+/** Name of the dispatched backend: "avx2" or "scalar". */
 const char *simdBackendName();
-
-/** dst[i] = c * src[i] for i in [0, n). */
-void simdScale(double *dst, const double *src, double c, size_t n);
 
 /** dst[i] += c * src[i] for i in [0, n). */
 void simdAxpy(double *dst, const double *src, double c, size_t n);
@@ -152,7 +148,6 @@ void simdPackRows(const double *const *rows, size_t count, size_t n,
 namespace detail
 {
 
-void avx2Scale(double *dst, const double *src, double c, size_t n);
 void avx2Axpy(double *dst, const double *src, double c, size_t n);
 void avx2DotPacked(const double *a, const double *packed, size_t n,
                    double *out);
@@ -175,16 +170,19 @@ void avx2Moment34Packed(const double *packed, size_t n,
 #endif
 
 /**
- * Retained scalar references for the differential tests: plain
- * left-to-right single-accumulator loops, the schedule every SIMD
- * kernel above must reproduce exactly.
+ * Scalar references: plain left-to-right single-accumulator loops,
+ * the schedule every SIMD kernel above must reproduce exactly. The
+ * differential tests compare against them, and the dispatcher falls
+ * back to them on hosts without AVX2.
  */
 namespace scalar_ref
 {
 
 double dot(const double *a, const double *b, size_t n);
 double squaredNorm(const double *a, size_t n);
-void scale(double *dst, const double *src, double c, size_t n);
+void dotPacked(const double *a, const double *packed, size_t n,
+               double *out);
+void squaredNormsPacked(const double *packed, size_t n, double *out);
 void axpy(double *dst, const double *src, double c, size_t n);
 void zscore(double *dst, const double *src, double mu, double sigma,
             size_t n);

@@ -5,7 +5,7 @@
  * baseline ISA. simd.cc selects these at load time with
  * __builtin_cpu_supports("avx2"); they are never reached on CPUs
  * without AVX2. Mul + add only — no FMA — so lane arithmetic matches
- * the SSE2 and generic backends bit for bit.
+ * the scalar reference loops bit for bit.
  */
 
 #include "common/simd.hh"
@@ -18,19 +18,6 @@ namespace xpro
 {
 namespace detail
 {
-
-void
-avx2Scale(double *dst, const double *src, double c, size_t n)
-{
-    const __m256d vc = _mm256_set1_pd(c);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(dst + i,
-                         _mm256_mul_pd(vc,
-                                       _mm256_loadu_pd(src + i)));
-    for (; i < n; ++i)
-        dst[i] = c * src[i];
-}
 
 void
 avx2Axpy(double *dst, const double *src, double c, size_t n)

@@ -78,7 +78,8 @@ double
 FeatureExtractor::extract(const std::vector<double> &segment,
                           FeatureId id) const
 {
-    return computeFeature(id.kind, domainSignal(segment, id.domain));
+    const std::vector<double> signal = domainSignal(segment, id.domain);
+    return computeFeature(id.kind, signal.data(), signal.size());
 }
 
 std::vector<double>
@@ -208,22 +209,6 @@ FeatureExtractor::extractAllPackedInto(const double *const *segments,
         computeAllKindsPacked(tiles[d], lens[d], count,
                               outRows + d * featureKindCount,
                               featurePoolSize);
-}
-
-void
-FeatureScaler::fit(const std::vector<std::vector<double>> &rows)
-{
-    xproAssert(!rows.empty(), "cannot fit scaler on empty data");
-    const size_t cols = rows.front().size();
-    _min.assign(cols, std::numeric_limits<double>::infinity());
-    _max.assign(cols, -std::numeric_limits<double>::infinity());
-    for (const auto &row : rows) {
-        xproAssert(row.size() == cols, "ragged feature rows");
-        for (size_t c = 0; c < cols; ++c) {
-            _min[c] = std::min(_min[c], row[c]);
-            _max[c] = std::max(_max[c], row[c]);
-        }
-    }
 }
 
 void

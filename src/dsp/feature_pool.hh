@@ -132,9 +132,6 @@ class FeatureExtractor
 class FeatureScaler
 {
   public:
-    /** Learn per-column min/max from row-major feature vectors. */
-    void fit(const std::vector<std::vector<double>> &rows);
-
     /** Learn per-column min/max from a flat feature matrix. */
     void fit(const FlatMatrix &rows);
 

@@ -26,22 +26,10 @@ featureMax(const double *signal, size_t n)
 }
 
 double
-featureMax(const std::vector<double> &signal)
-{
-    return featureMax(signal.data(), signal.size());
-}
-
-double
 featureMin(const double *signal, size_t n)
 {
     xproAssert(n > 0, "feature on empty signal");
     return *std::min_element(signal, signal + n);
-}
-
-double
-featureMin(const std::vector<double> &signal)
-{
-    return featureMin(signal.data(), signal.size());
 }
 
 double
@@ -52,12 +40,6 @@ featureMean(const double *signal, size_t n)
     for (size_t i = 0; i < n; ++i)
         sum += signal[i];
     return sum / static_cast<double>(n);
-}
-
-double
-featureMean(const std::vector<double> &signal)
-{
-    return featureMean(signal.data(), signal.size());
 }
 
 double
@@ -73,21 +55,9 @@ featureVar(const double *signal, size_t n)
 }
 
 double
-featureVar(const std::vector<double> &signal)
-{
-    return featureVar(signal.data(), signal.size());
-}
-
-double
 featureStd(const double *signal, size_t n)
 {
     return std::sqrt(featureVar(signal, n));
-}
-
-double
-featureStd(const std::vector<double> &signal)
-{
-    return featureStd(signal.data(), signal.size());
 }
 
 double
@@ -102,12 +72,6 @@ featureCzero(const double *signal, size_t n)
         }
     }
     return static_cast<double>(crossings);
-}
-
-double
-featureCzero(const std::vector<double> &signal)
-{
-    return featureCzero(signal.data(), signal.size());
 }
 
 double
@@ -126,12 +90,6 @@ featureSkew(const double *signal, size_t n)
 }
 
 double
-featureSkew(const std::vector<double> &signal)
-{
-    return featureSkew(signal.data(), signal.size());
-}
-
-double
 featureKurt(const double *signal, size_t n)
 {
     const double mu = featureMean(signal, n);
@@ -144,12 +102,6 @@ featureKurt(const double *signal, size_t n)
         acc += z * z * z * z;
     }
     return acc / static_cast<double>(n);
-}
-
-double
-featureKurt(const std::vector<double> &signal)
-{
-    return featureKurt(signal.data(), signal.size());
 }
 
 void
@@ -265,18 +217,13 @@ computeFeature(FeatureKind kind, const double *signal, size_t n)
     panic("unknown feature kind %d", static_cast<int>(kind));
 }
 
-double
-computeFeature(FeatureKind kind, const std::vector<double> &signal)
-{
-    return computeFeature(kind, signal.data(), signal.size());
-}
-
 std::array<double, featureKindCount>
 computeAllFeatures(const std::vector<double> &signal)
 {
     std::array<double, featureKindCount> out{};
     for (size_t i = 0; i < featureKindCount; ++i)
-        out[i] = computeFeature(allFeatureKinds[i], signal);
+        out[i] = computeFeature(allFeatureKinds[i], signal.data(),
+                                signal.size());
     return out;
 }
 

@@ -45,36 +45,26 @@ constexpr std::array<FeatureKind, featureKindCount> allFeatureKinds = {
 const std::string &featureName(FeatureKind kind);
 
 /*
- * Each feature exists in two forms: a pointer-span core used by the
- * allocation-free serving hot path, and a std::vector convenience
- * wrapper delegating to it (identical arithmetic, same accumulation
- * order).
+ * Each feature takes a pointer span, so the allocation-free serving
+ * hot path and vector callers (via data()/size()) share one kernel.
  */
 
 /** Maximal sample value. */
 double featureMax(const double *signal, size_t n);
-double featureMax(const std::vector<double> &signal);
 /** Minimal sample value. */
 double featureMin(const double *signal, size_t n);
-double featureMin(const std::vector<double> &signal);
 /** Arithmetic mean. */
 double featureMean(const double *signal, size_t n);
-double featureMean(const std::vector<double> &signal);
 /** Population variance. */
 double featureVar(const double *signal, size_t n);
-double featureVar(const std::vector<double> &signal);
 /** Population standard deviation. */
 double featureStd(const double *signal, size_t n);
-double featureStd(const std::vector<double> &signal);
 /** Number of zero crossings (sign changes between samples). */
 double featureCzero(const double *signal, size_t n);
-double featureCzero(const std::vector<double> &signal);
 /** Skewness E[(x-mu)^3] / sigma^3 (zero for constant signals). */
 double featureSkew(const double *signal, size_t n);
-double featureSkew(const std::vector<double> &signal);
 /** Kurtosis E[(x-mu)^4] / sigma^4, non-excess form. */
 double featureKurt(const double *signal, size_t n);
-double featureKurt(const std::vector<double> &signal);
 
 /**
  * All featureKindCount statistics of one signal, written to
@@ -112,7 +102,6 @@ void computeAllKindsPacked(const double *packed, size_t n,
 /** Dispatch by kind. */
 double computeFeature(FeatureKind kind, const double *signal,
                       size_t n);
-double computeFeature(FeatureKind kind, const std::vector<double> &signal);
 
 /** Compute all eight features in canonical order. */
 std::array<double, featureKindCount>

@@ -8,55 +8,6 @@
 namespace xpro
 {
 
-SlidingWindowSegmenter::SlidingWindowSegmenter(size_t window_length,
-                                               size_t hop)
-    : _windowLength(window_length), _hop(hop)
-{
-    xproAssert(window_length > 0, "window length must be positive");
-    xproAssert(hop > 0, "hop must be positive");
-}
-
-void
-SlidingWindowSegmenter::push(double sample)
-{
-    _history.push_back(sample);
-    // Keep just enough history for the next window to complete.
-    while (_history.size() > _windowLength)
-        _history.pop_front();
-
-    if (_first) {
-        if (_history.size() == _windowLength) {
-            _ready.emplace_back(_history.begin(), _history.end());
-            _first = false;
-            _sincePrevious = 0;
-        }
-        return;
-    }
-    if (++_sincePrevious == _hop) {
-        // A window ends here only when enough history is buffered
-        // (hop > window length leaves gaps by design).
-        if (_history.size() == _windowLength)
-            _ready.emplace_back(_history.begin(), _history.end());
-        _sincePrevious = 0;
-    }
-}
-
-void
-SlidingWindowSegmenter::push(const std::vector<double> &samples)
-{
-    for (double sample : samples)
-        push(sample);
-}
-
-std::vector<double>
-SlidingWindowSegmenter::pop()
-{
-    xproAssert(!_ready.empty(), "no completed window to pop");
-    std::vector<double> window = std::move(_ready.front());
-    _ready.pop_front();
-    return window;
-}
-
 PeakTriggeredSegmenter::PeakTriggeredSegmenter(
     const PeakSegmenterConfig &config)
     : _config(config)

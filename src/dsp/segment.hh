@@ -5,17 +5,11 @@
  * The paper's test cases are pre-segmented (one beat / burst per
  * segment); a deployed wearable receives a continuous sample stream
  * and must extract those segments itself before the analytic engine
- * runs. This module provides the two segmenters such a front-end
- * uses:
- *
- *  - SlidingWindowSegmenter: fixed-length windows with configurable
- *    hop (EEG/EMG-style epoching);
- *  - PeakTriggeredSegmenter: adaptive-threshold peak detection with
- *    a refractory period, emitting a window centred on each detected
- *    peak (ECG-style beat alignment).
- *
- * Both are incremental: push samples as they arrive, pop segments as
- * they complete.
+ * runs. PeakTriggeredSegmenter does that for beat-aligned signals:
+ * adaptive-threshold peak detection with a refractory period,
+ * emitting a window centred on each detected peak (ECG-style beat
+ * alignment). It is incremental: push samples as they arrive, pop
+ * segments as they complete.
  */
 
 #ifndef XPRO_DSP_SEGMENT_HH
@@ -27,38 +21,6 @@
 
 namespace xpro
 {
-
-/** Fixed-length windows with a configurable hop. */
-class SlidingWindowSegmenter
-{
-  public:
-    /**
-     * @param window_length Samples per emitted segment.
-     * @param hop Samples between consecutive window starts; equal to
-     *        window_length for non-overlapping epochs.
-     */
-    SlidingWindowSegmenter(size_t window_length, size_t hop);
-
-    /** Feed one sample. */
-    void push(double sample);
-
-    /** Feed a block of samples. */
-    void push(const std::vector<double> &samples);
-
-    /** Completed windows ready to pop. */
-    size_t ready() const { return _ready.size(); }
-
-    /** Pop the oldest completed window. */
-    std::vector<double> pop();
-
-  private:
-    size_t _windowLength;
-    size_t _hop;
-    size_t _sincePrevious = 0;
-    bool _first = true;
-    std::deque<double> _history;
-    std::deque<std::vector<double>> _ready;
-};
 
 /** Configuration of the peak-triggered segmenter. */
 struct PeakSegmenterConfig

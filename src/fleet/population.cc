@@ -67,10 +67,11 @@ mix64(uint64_t x)
 
 /**
  * AdaSense-style duty bands by battery state of charge: full duty
- * above 60%, 3-of-5 events above 30%, 1-of-3 below. Deliberately
- * the same ladder the adaptive controller uses (control/), but the
- * constants are duplicated here — fleet must not depend on control
- * (control already links fleet).
+ * above 60%, 3-of-5 events above 30%, 1-of-3 below. This ladder is
+ * the population fleet's own: the adaptive controller's default
+ * (ControllerConfig in control/) steps down at 35% and 15% SoC to
+ * duty 0.6 and 0.35, so the two differ. Fleet must not depend on
+ * control (control already links fleet).
  */
 struct DutyBand
 {

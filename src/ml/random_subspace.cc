@@ -123,25 +123,23 @@ RandomSubspace::train(const LabeledData &data,
     // voting trained by least squares, paper Section 4.4). Votes
     // come from the batched inference path, one column per base.
     const size_t members = ensemble._bases.size();
-    Matrix design(data.size(), members + 1);
-    Matrix target(data.size(), 1);
+    FlatMatrix design(data.size(), members + 1);
+    std::vector<double> target(data.size());
     for (size_t m = 0; m < members; ++m) {
         const BaseClassifier &base = ensemble._bases[m];
         const std::vector<int> votes = base.model.predictBatch(
             projectRows(data.rows, base.featureIndices));
         for (size_t i = 0; i < data.size(); ++i)
-            design(i, m) = static_cast<double>(votes[i]);
+            design.rowData(i)[m] = static_cast<double>(votes[i]);
     }
     for (size_t i = 0; i < data.size(); ++i) {
-        design(i, members) = 1.0; // bias column
-        target(i, 0) = static_cast<double>(data.labels[i]);
+        design.rowData(i)[members] = 1.0; // bias column
+        target[i] = static_cast<double>(data.labels[i]);
     }
-    const Matrix weights =
-        Matrix::leastSquares(design, target, config.fusionRidge);
-    ensemble._weights.resize(members);
-    for (size_t m = 0; m < members; ++m)
-        ensemble._weights[m] = weights(m, 0);
-    ensemble._weightBias = weights(members, 0);
+    const std::vector<double> weights =
+        ridgeLeastSquares(design, target, config.fusionRidge);
+    ensemble._weights.assign(weights.begin(), weights.end() - 1);
+    ensemble._weightBias = weights.back();
     return ensemble;
 }
 

@@ -1,7 +1,6 @@
 #include "platform/battery_sim.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 
@@ -61,114 +60,6 @@ ChargeTracker::depletionTime() const
     if (!_depleted)
         fatal("battery not depleted; no depletion time");
     return _diedAt;
-}
-
-BatterySimulator::BatterySimulator(const Battery &battery, Time step)
-    : _battery(battery), _step(step)
-{
-    xproAssert(step.sec() > 0.0, "step must be positive");
-}
-
-DischargeResult
-BatterySimulator::run(const std::vector<LoadPhase> &profile,
-                      size_t repeat) const
-{
-    xproAssert(!profile.empty(), "empty load profile");
-    xproAssert(repeat > 0, "need at least one pass");
-
-    DischargeResult result;
-    Energy consumed;
-    Time now;
-    // Weakest usable capacity over the profile (for the final DoD).
-    Energy weakest = _battery.usableEnergy(profile.front().load);
-
-    for (size_t pass = 0; pass < repeat && !result.depleted; ++pass) {
-        for (const LoadPhase &phase : profile) {
-            xproAssert(phase.load.w() >= 0.0, "negative load");
-            xproAssert(phase.duration.sec() > 0.0,
-                       "phase duration must be positive");
-            const Energy limit = _battery.usableEnergy(phase.load);
-            weakest = std::min(weakest, limit);
-
-            Time left = phase.duration;
-            while (left.sec() > 0.0) {
-                const Time dt = std::min(left, _step);
-                const Energy draw = phase.load.during(dt);
-                if (consumed + draw >= limit &&
-                    phase.load.w() > 0.0) {
-                    // Interpolate the moment of death inside dt.
-                    const double fraction =
-                        (limit - consumed) / draw;
-                    result.depleted = true;
-                    result.diedAt =
-                        now + dt * std::clamp(fraction, 0.0, 1.0);
-                    consumed = limit;
-                    break;
-                }
-                consumed += draw;
-                now += dt;
-                left = left - dt;
-            }
-            if (result.depleted)
-                break;
-        }
-    }
-
-    result.remaining = result.depleted ? Energy()
-                                       : weakest - consumed;
-    result.depthOfDischarge =
-        weakest.j() > 0.0
-            ? std::min(1.0, consumed / weakest)
-            : 1.0;
-    return result;
-}
-
-Time
-BatterySimulator::lifetime(const std::vector<LoadPhase> &profile) const
-{
-    xproAssert(!profile.empty(), "empty load profile");
-
-    // Energy and duration of one pass.
-    Energy pass_energy;
-    Time pass_time;
-    Energy weakest = _battery.usableEnergy(profile.front().load);
-    for (const LoadPhase &phase : profile) {
-        pass_energy += phase.load.during(phase.duration);
-        pass_time += phase.duration;
-        weakest =
-            std::min(weakest, _battery.usableEnergy(phase.load));
-    }
-    if (pass_energy.j() <= 0.0)
-        fatal("load profile consumes no energy; lifetime is "
-              "unbounded");
-
-    // Fast-forward whole passes, then simulate the final ones.
-    const double passes_to_death = weakest / pass_energy;
-    const size_t skip =
-        passes_to_death > 2.0
-            ? static_cast<size_t>(std::floor(passes_to_death - 1.0))
-            : 0;
-    const Energy skipped = pass_energy * static_cast<double>(skip);
-    const Time skipped_time = pass_time * static_cast<double>(skip);
-
-    // Simulate from the skipped state: replay passes until death.
-    Energy consumed = skipped;
-    Time now = skipped_time;
-    for (size_t guard = 0; guard < 1000; ++guard) {
-        for (const LoadPhase &phase : profile) {
-            const Energy limit = _battery.usableEnergy(phase.load);
-            const Energy draw = phase.load.during(phase.duration);
-            if (consumed + draw >= limit && phase.load.w() > 0.0) {
-                const double fraction = (limit - consumed) / draw;
-                return now +
-                       phase.duration *
-                           std::clamp(fraction, 0.0, 1.0);
-            }
-            consumed += draw;
-            now += phase.duration;
-        }
-    }
-    panic("battery did not deplete within the simulation guard");
 }
 
 } // namespace xpro

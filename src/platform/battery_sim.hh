@@ -1,60 +1,35 @@
 /**
  * @file
- * Time-stepping battery discharge simulator.
+ * Incremental battery discharge model for variable loads.
  *
  * The closed-form Battery::lifetime() assumes a constant load; real
  * wearables alternate monitoring intensities (exercise vs. sleep,
- * duty-cycled analytics). This simulator steps a state of charge
- * through an arbitrary load profile with the same rate-derating
- * behaviour as the analytic model, so variable-duty scenarios can be
- * played out and cross-checked against the constant-load closed
- * form (a tested equivalence).
+ * duty-cycled analytics). ChargeTracker drains a state of charge
+ * span by span with the same rate-derating behaviour as the analytic
+ * model, so variable-duty runs can be played out and cross-checked
+ * against the constant-load closed form (a tested equivalence).
  */
 
 #ifndef XPRO_PLATFORM_BATTERY_SIM_HH
 #define XPRO_PLATFORM_BATTERY_SIM_HH
-
-#include <cstddef>
-#include <vector>
 
 #include "platform/battery.hh"
 
 namespace xpro
 {
 
-/** One phase of a load profile. */
-struct LoadPhase
-{
-    Power load;
-    Time duration;
-};
-
-/** Outcome of a discharge simulation. */
-struct DischargeResult
-{
-    /** True if the battery died before the profile ended. */
-    bool depleted = false;
-    /** Time of death (valid when depleted). */
-    Time diedAt;
-    /** Remaining usable energy at the end (zero when depleted). */
-    Energy remaining;
-    /** Fraction of usable energy consumed, in [0, 1]. */
-    double depthOfDischarge = 0.0;
-};
-
 /**
  * Incremental state-of-charge tracker for online control.
  *
- * BatterySimulator answers whole-profile questions; the runtime
- * controller instead drains measured window energies as the stream
- * advances and asks for the state of charge at arbitrary (monotone)
- * sim timestamps between drains. Queries extrapolate the latest
- * span's mean power, so the answer is monotonically non-increasing
- * in time, reaches exactly zero at the interpolated depletion
- * instant and stays zero after (the depletion-to-zero edge case is
- * tested). Rate derating matches the analytic model: the usable
- * capacity is the weakest Battery::usableEnergy() over the spans
- * seen so far.
+ * The runtime controller drains measured window energies as the
+ * stream advances and asks for the state of charge at arbitrary
+ * (monotone) sim timestamps between drains. Queries extrapolate the
+ * latest span's mean power, so the answer is monotonically
+ * non-increasing in time, reaches exactly zero at the interpolated
+ * depletion instant and stays zero after (the depletion-to-zero edge
+ * case is tested). Rate derating matches the analytic model: the
+ * usable capacity is the weakest Battery::usableEnergy() over the
+ * spans seen so far.
  */
 class ChargeTracker
 {
@@ -101,36 +76,6 @@ class ChargeTracker
     Energy _limit;
     bool _depleted = false;
     Time _diedAt;
-};
-
-/** Steps a battery's state of charge through load phases. */
-class BatterySimulator
-{
-  public:
-    /**
-     * @param battery Cell being discharged.
-     * @param step Integration step (per-step energy bookkeeping).
-     */
-    explicit BatterySimulator(const Battery &battery,
-                              Time step = Time::seconds(60.0));
-
-    /**
-     * Run the profile once.
-     * @param profile Load phases played in order.
-     * @param repeat How many times the profile repeats.
-     */
-    DischargeResult run(const std::vector<LoadPhase> &profile,
-                        size_t repeat = 1) const;
-
-    /**
-     * Time until depletion if the profile repeats forever. Fatal if
-     * a full profile pass consumes no energy.
-     */
-    Time lifetime(const std::vector<LoadPhase> &profile) const;
-
-  private:
-    Battery _battery;
-    Time _step;
 };
 
 } // namespace xpro

@@ -20,18 +20,9 @@ FcfsArbiter::grant(std::span<const RadioRequest> pending,
                    Time free_at, Time *start) const
 {
     xproAssert(!pending.empty(), "arbitrating an empty queue");
-    // The lowest sequence stays in a register: the scan runs over
-    // the whole queue on every grant.
-    size_t best = 0;
-    uint64_t best_sequence = pending[0].sequence;
-    for (size_t i = 1; i < pending.size(); ++i) {
-        if (pending[i].sequence < best_sequence) {
-            best = i;
-            best_sequence = pending[i].sequence;
-        }
-    }
-    *start = std::max(free_at, pending[best].ready);
-    return best;
+    // The queue is in submission order, so the front is the oldest.
+    *start = std::max(free_at, pending[0].ready);
+    return 0;
 }
 
 TdmaArbiter::TdmaArbiter(size_t node_count, Time slot)

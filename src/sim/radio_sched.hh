@@ -74,7 +74,12 @@ class RadioArbiter
                          Time free_at, Time *start) const = 0;
 };
 
-/** First come, first served: strict submission order. */
+/**
+ * First come, first served: strict submission order. Grants the
+ * front of @p pending in O(1), so the queue must be in submission
+ * order. The radio's own queue is: it appends each request with the
+ * next sequence, and under FCFS it only ever takes the front.
+ */
 class FcfsArbiter : public RadioArbiter
 {
   public:

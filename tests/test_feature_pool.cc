@@ -116,10 +116,7 @@ TEST(FeaturePoolTest, HaarAndDb4Differ)
 TEST(FeatureScalerTest, MapsToUnitInterval)
 {
     FeatureScaler scaler;
-    std::vector<std::vector<double>> rows = {
-        {0.0, 10.0}, {5.0, 20.0}, {10.0, 30.0},
-    };
-    scaler.fit(rows);
+    scaler.fit(FlatMatrix{{0.0, 10.0}, {5.0, 20.0}, {10.0, 30.0}});
     const std::vector<double> mid = scaler.transform({5.0, 20.0});
     EXPECT_DOUBLE_EQ(mid[0], 0.5);
     EXPECT_DOUBLE_EQ(mid[1], 0.5);

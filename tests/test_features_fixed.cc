@@ -51,7 +51,7 @@ TEST(FeaturesFixedTest, CzeroMatchesReferenceExactly)
         const auto signal = randomSignal(rng, 128, 1.0);
         const auto q = quantizeSignal(signal);
         EXPECT_DOUBLE_EQ(fixedCzero(q).toDouble(),
-                         featureCzero(signal));
+                         featureCzero(signal.data(), signal.size()));
     }
 }
 
@@ -61,7 +61,8 @@ TEST(FeaturesFixedTest, MeanTracksReference)
     for (int trial = 0; trial < 20; ++trial) {
         const auto signal = randomSignal(rng, 128, 2.0);
         const auto q = quantizeSignal(signal);
-        EXPECT_NEAR(fixedMean(q).toDouble(), featureMean(signal), 1e-3);
+        EXPECT_NEAR(fixedMean(q).toDouble(),
+                    featureMean(signal.data(), signal.size()), 1e-3);
     }
 }
 
@@ -71,7 +72,7 @@ TEST(FeaturesFixedTest, VarAndStdTrackReference)
     for (int trial = 0; trial < 20; ++trial) {
         const auto signal = randomSignal(rng, 128, 2.0);
         const auto q = quantizeSignal(signal);
-        const double var_ref = featureVar(signal);
+        const double var_ref = featureVar(signal.data(), signal.size());
         EXPECT_NEAR(fixedVar(q).toDouble(), var_ref,
                     1e-3 * (1.0 + var_ref));
         EXPECT_NEAR(fixedStd(q).toDouble(), std::sqrt(var_ref), 1e-2);
@@ -85,8 +86,10 @@ TEST(FeaturesFixedTest, SkewKurtTrackReference)
         const auto signal = randomSignal(rng, 128, 1.0);
         const auto q = quantizeSignal(signal);
         // Division-heavy z-score path accumulates more error.
-        EXPECT_NEAR(fixedSkew(q).toDouble(), featureSkew(signal), 0.05);
-        EXPECT_NEAR(fixedKurt(q).toDouble(), featureKurt(signal), 0.1);
+        EXPECT_NEAR(fixedSkew(q).toDouble(),
+                    featureSkew(signal.data(), signal.size()), 0.05);
+        EXPECT_NEAR(fixedKurt(q).toDouble(),
+                    featureKurt(signal.data(), signal.size()), 0.1);
     }
 }
 
@@ -134,7 +137,7 @@ TEST_P(FixedFeatureSweepTest, AllFeaturesTrackReference)
     const auto signal = randomSignal(rng, GetParam(), 1.5);
     const auto q = quantizeSignal(signal);
     for (FeatureKind kind : allFeatureKinds) {
-        const double ref = computeFeature(kind, signal);
+        const double ref = computeFeature(kind, signal.data(), signal.size());
         const double fixed = computeFixedFeature(kind, q).toDouble();
         EXPECT_NEAR(fixed, ref, 0.1 * (1.0 + std::fabs(ref)))
             << featureName(kind) << " at length " << GetParam();

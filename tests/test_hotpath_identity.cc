@@ -64,28 +64,7 @@ randomMatrix(Rng &rng, size_t rows, size_t cols)
 TEST(SimdKernelTest, BackendNameIsKnown)
 {
     const std::string name = simdBackendName();
-    EXPECT_TRUE(name == "generic" || name == "sse2" ||
-                name == "avx2")
-        << name;
-}
-
-TEST(SimdKernelTest, ScaleMatchesScalarReferenceExactly)
-{
-    Rng rng(40601);
-    for (size_t n : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 13u, 64u, 100u}) {
-        const std::vector<double> src = randomVector(rng, n);
-        const double c = rng.uniform(-3.0, 3.0);
-        std::vector<double> simd(n, -1.0), scalar(n, -1.0);
-        simdScale(simd.data(), src.data(), c, n);
-        scalar_ref::scale(scalar.data(), src.data(), c, n);
-        // memcmp needs non-null pointers even for zero bytes, and
-        // an empty vector's data() may be null.
-        if (n > 0) {
-            EXPECT_EQ(0, std::memcmp(simd.data(), scalar.data(),
-                                     n * sizeof(double)))
-                << "n=" << n;
-        }
-    }
+    EXPECT_TRUE(name == "avx2" || name == "scalar") << name;
 }
 
 TEST(SimdKernelTest, AxpyMatchesScalarReferenceExactly)
@@ -134,6 +113,11 @@ TEST(SimdKernelTest, DotPackedMatchesPerColumnScalarDots)
             // Zero-filled pad lanes produce exact zero dots.
             for (size_t j = count; j < simdPackWidth; ++j)
                 EXPECT_EQ(lanes[j], 0.0);
+            // The scalar fallback backend agrees on every lane.
+            double ref[simdPackWidth];
+            scalar_ref::dotPacked(a.data(), packed.data(), n, ref);
+            EXPECT_EQ(0, std::memcmp(lanes, ref, sizeof(lanes)))
+                << "n=" << n;
         }
     }
 }
@@ -158,6 +142,11 @@ TEST(SimdKernelTest, SquaredNormsPackedMatchesScalar)
                       scalar_ref::squaredNorm(rows[j].data(), n))
                 << "n=" << n << " lane " << j;
         }
+        // The scalar fallback backend agrees on every lane.
+        double ref[simdPackWidth];
+        scalar_ref::squaredNormsPacked(packed.data(), n, ref);
+        EXPECT_EQ(0, std::memcmp(lanes, ref, sizeof(lanes)))
+            << "n=" << n;
     }
 }
 

@@ -1,11 +1,14 @@
 /**
  * @file
- * Unit tests for the dense matrix and linear solvers.
+ * Unit tests for ridge least squares (the fusion-weight solver).
+ * Square nonsingular systems with ridge 0 check the elimination
+ * itself: their least-squares solution is the exact solution.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/matrix.hh"
@@ -14,103 +17,54 @@
 namespace
 {
 
-using xpro::Matrix;
+using xpro::FlatMatrix;
+using xpro::ridgeLeastSquares;
 
-TEST(MatrixTest, ConstructionAndAccess)
+/** b = A x. */
+std::vector<double>
+multiply(const FlatMatrix &a, const std::vector<double> &x)
 {
-    Matrix m(2, 3, 1.5);
-    EXPECT_EQ(m.rows(), 2u);
-    EXPECT_EQ(m.cols(), 3u);
-    EXPECT_DOUBLE_EQ(m(1, 2), 1.5);
-    m(0, 1) = -2.0;
-    EXPECT_DOUBLE_EQ(m(0, 1), -2.0);
+    std::vector<double> b(a.size(), 0.0);
+    for (size_t i = 0; i < a.size(); ++i)
+        for (size_t j = 0; j < a.cols(); ++j)
+            b[i] += a[i][j] * x[j];
+    return b;
 }
 
-TEST(MatrixTest, IdentityProduct)
+double
+distance(const std::vector<double> &a, const std::vector<double> &b)
 {
-    Matrix a(3, 3);
-    int v = 1;
-    for (size_t i = 0; i < 3; ++i)
-        for (size_t j = 0; j < 3; ++j)
-            a(i, j) = v++;
-    const Matrix product = a * Matrix::identity(3);
-    for (size_t i = 0; i < 3; ++i)
-        for (size_t j = 0; j < 3; ++j)
-            EXPECT_DOUBLE_EQ(product(i, j), a(i, j));
-}
-
-TEST(MatrixTest, MatrixProductKnownValues)
-{
-    Matrix a(2, 3);
-    a(0, 0) = 1; a(0, 1) = 2; a(0, 2) = 3;
-    a(1, 0) = 4; a(1, 1) = 5; a(1, 2) = 6;
-    Matrix b(3, 2);
-    b(0, 0) = 7; b(0, 1) = 8;
-    b(1, 0) = 9; b(1, 1) = 10;
-    b(2, 0) = 11; b(2, 1) = 12;
-    const Matrix c = a * b;
-    EXPECT_DOUBLE_EQ(c(0, 0), 58);
-    EXPECT_DOUBLE_EQ(c(0, 1), 64);
-    EXPECT_DOUBLE_EQ(c(1, 0), 139);
-    EXPECT_DOUBLE_EQ(c(1, 1), 154);
-}
-
-TEST(MatrixTest, AdditionSubtractionScaling)
-{
-    Matrix a(2, 2, 1.0);
-    Matrix b(2, 2, 2.0);
-    EXPECT_DOUBLE_EQ((a + b)(0, 0), 3.0);
-    EXPECT_DOUBLE_EQ((b - a)(1, 1), 1.0);
-    EXPECT_DOUBLE_EQ((a * 4.0)(0, 1), 4.0);
-}
-
-TEST(MatrixTest, TransposeRoundTrip)
-{
-    Matrix a(2, 3);
-    a(0, 2) = 5.0;
-    a(1, 0) = -3.0;
-    const Matrix t = a.transpose();
-    EXPECT_EQ(t.rows(), 3u);
-    EXPECT_EQ(t.cols(), 2u);
-    EXPECT_DOUBLE_EQ(t(2, 0), 5.0);
-    EXPECT_DOUBLE_EQ(t(0, 1), -3.0);
-    const Matrix back = t.transpose();
-    EXPECT_DOUBLE_EQ(back(0, 2), 5.0);
-}
-
-TEST(MatrixTest, NormOfUnitVector)
-{
-    Matrix v = Matrix::columnVector({3.0, 4.0});
-    EXPECT_DOUBLE_EQ(v.norm(), 5.0);
+    double sum = 0.0;
+    for (size_t i = 0; i < a.size(); ++i)
+        sum += (a[i] - b[i]) * (a[i] - b[i]);
+    return std::sqrt(sum);
 }
 
 TEST(MatrixTest, SolveDiagonal)
 {
-    Matrix a = Matrix::identity(3) * 2.0;
-    Matrix b = Matrix::columnVector({2.0, 4.0, 6.0});
-    const Matrix x = Matrix::solve(a, b);
-    EXPECT_NEAR(x(0, 0), 1.0, 1e-12);
-    EXPECT_NEAR(x(1, 0), 2.0, 1e-12);
-    EXPECT_NEAR(x(2, 0), 3.0, 1e-12);
+    const FlatMatrix a{{2, 0, 0}, {0, 2, 0}, {0, 0, 2}};
+    const std::vector<double> x =
+        ridgeLeastSquares(a, {2.0, 4.0, 6.0});
+    ASSERT_EQ(x.size(), 3u);
+    EXPECT_NEAR(x[0], 1.0, 1e-12);
+    EXPECT_NEAR(x[1], 2.0, 1e-12);
+    EXPECT_NEAR(x[2], 3.0, 1e-12);
 }
 
 TEST(MatrixTest, SolveRequiresPivoting)
 {
-    // Leading zero forces a row swap.
-    Matrix a(2, 2);
-    a(0, 0) = 0.0; a(0, 1) = 1.0;
-    a(1, 0) = 1.0; a(1, 1) = 0.0;
-    Matrix b = Matrix::columnVector({3.0, 7.0});
-    const Matrix x = Matrix::solve(a, b);
-    EXPECT_NEAR(x(0, 0), 7.0, 1e-12);
-    EXPECT_NEAR(x(1, 0), 3.0, 1e-12);
+    // Normal matrix [[1, 3], [3, 10]]: the larger entry below the
+    // first pivot forces a row swap.
+    const FlatMatrix a{{1, 3}, {0, 1}};
+    const std::vector<double> x = ridgeLeastSquares(a, {16.0, 3.0});
+    EXPECT_NEAR(x[0], 7.0, 1e-12);
+    EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
 TEST(MatrixTest, SolveSingularIsFatal)
 {
-    Matrix a(2, 2, 1.0); // rank one
-    Matrix b = Matrix::columnVector({1.0, 2.0});
-    EXPECT_THROW(Matrix::solve(a, b), xpro::FatalError);
+    const FlatMatrix a{{1, 1}, {1, 1}}; // rank one
+    EXPECT_THROW(ridgeLeastSquares(a, {1.0, 2.0}), xpro::FatalError);
 }
 
 TEST(MatrixTest, SolveRandomSystems)
@@ -118,63 +72,56 @@ TEST(MatrixTest, SolveRandomSystems)
     xpro::Rng rng(101);
     for (int trial = 0; trial < 20; ++trial) {
         const size_t n = 1 + trial % 8;
-        Matrix a(n, n);
+        FlatMatrix a(n, n);
         for (size_t i = 0; i < n; ++i) {
+            double *row = a.rowData(i);
             for (size_t j = 0; j < n; ++j)
-                a(i, j) = rng.uniform(-1.0, 1.0);
-            a(i, i) += 3.0; // Diagonally dominant => nonsingular.
+                row[j] = rng.uniform(-1.0, 1.0);
+            row[i] += 3.0; // Diagonally dominant => nonsingular.
         }
-        Matrix x_true(n, 1);
+        std::vector<double> x_true(n);
         for (size_t i = 0; i < n; ++i)
-            x_true(i, 0) = rng.uniform(-5.0, 5.0);
-        const Matrix b = a * x_true;
-        const Matrix x = Matrix::solve(a, b);
-        EXPECT_NEAR((x - x_true).norm(), 0.0, 1e-9);
+            x_true[i] = rng.uniform(-5.0, 5.0);
+        const std::vector<double> x =
+            ridgeLeastSquares(a, multiply(a, x_true));
+        EXPECT_NEAR(distance(x, x_true), 0.0, 1e-9);
     }
 }
 
 TEST(MatrixTest, LeastSquaresRecoverExactSolution)
 {
     // Overdetermined but consistent system.
-    Matrix a(4, 2);
-    a(0, 0) = 1; a(0, 1) = 0;
-    a(1, 0) = 0; a(1, 1) = 1;
-    a(2, 0) = 1; a(2, 1) = 1;
-    a(3, 0) = 2; a(3, 1) = -1;
-    Matrix x_true = Matrix::columnVector({2.0, -3.0});
-    const Matrix b = a * x_true;
-    const Matrix x = Matrix::leastSquares(a, b);
-    EXPECT_NEAR((x - x_true).norm(), 0.0, 1e-9);
+    const FlatMatrix a{{1, 0}, {0, 1}, {1, 1}, {2, -1}};
+    const std::vector<double> x_true = {2.0, -3.0};
+    const std::vector<double> x =
+        ridgeLeastSquares(a, multiply(a, x_true));
+    EXPECT_NEAR(distance(x, x_true), 0.0, 1e-9);
 }
 
 TEST(MatrixTest, LeastSquaresMinimizesResidual)
 {
     // Inconsistent system: fit y = w * x through three points.
-    Matrix a(3, 1);
-    a(0, 0) = 1; a(1, 0) = 2; a(2, 0) = 3;
-    Matrix b = Matrix::columnVector({1.1, 1.9, 3.2});
-    const Matrix x = Matrix::leastSquares(a, b);
+    const FlatMatrix a{{1}, {2}, {3}};
+    const std::vector<double> x = ridgeLeastSquares(a, {1.1, 1.9, 3.2});
     // Closed form: w = sum(x*y) / sum(x*x).
     const double expected = (1 * 1.1 + 2 * 1.9 + 3 * 3.2) / 14.0;
-    EXPECT_NEAR(x(0, 0), expected, 1e-12);
+    EXPECT_NEAR(x[0], expected, 1e-12);
 }
 
 TEST(MatrixTest, RidgeShrinksSolution)
 {
-    Matrix a = Matrix::identity(2);
-    Matrix b = Matrix::columnVector({1.0, 1.0});
-    const Matrix plain = Matrix::leastSquares(a, b, 0.0);
-    const Matrix ridge = Matrix::leastSquares(a, b, 1.0);
-    EXPECT_NEAR(plain(0, 0), 1.0, 1e-12);
-    EXPECT_NEAR(ridge(0, 0), 0.5, 1e-12);
+    const FlatMatrix a{{1, 0}, {0, 1}};
+    const std::vector<double> plain = ridgeLeastSquares(a, {1.0, 1.0});
+    const std::vector<double> ridge =
+        ridgeLeastSquares(a, {1.0, 1.0}, 1.0);
+    EXPECT_NEAR(plain[0], 1.0, 1e-12);
+    EXPECT_NEAR(ridge[0], 0.5, 1e-12);
 }
 
-TEST(MatrixTest, FlattenIsRowMajor)
+TEST(MatrixTest, RowTargetMismatchPanics)
 {
-    Matrix a(2, 2);
-    a(0, 0) = 1; a(0, 1) = 2; a(1, 0) = 3; a(1, 1) = 4;
-    const std::vector<double> flat = a.flatten();
-    EXPECT_EQ(flat, (std::vector<double>{1, 2, 3, 4}));
+    const FlatMatrix a{{1, 0}, {0, 1}};
+    EXPECT_THROW(ridgeLeastSquares(a, {1.0}), xpro::PanicError);
 }
 
 } // namespace

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the stream segmenters: sliding windows and the
- * peak-triggered (beat-aligned) extractor, including detection on
- * synthetic continuous ECG.
+ * Tests for the peak-triggered (beat-aligned) stream segmenter,
+ * including detection on synthetic continuous ECG.
  */
 
 #include <gtest/gtest.h>
@@ -20,57 +19,6 @@ namespace
 {
 
 using namespace xpro;
-
-TEST(SlidingWindowTest, NonOverlappingWindows)
-{
-    SlidingWindowSegmenter seg(4, 4);
-    for (int i = 0; i < 12; ++i)
-        seg.push(static_cast<double>(i));
-    ASSERT_EQ(seg.ready(), 3u);
-    EXPECT_EQ(seg.pop(), (std::vector<double>{0, 1, 2, 3}));
-    EXPECT_EQ(seg.pop(), (std::vector<double>{4, 5, 6, 7}));
-    EXPECT_EQ(seg.pop(), (std::vector<double>{8, 9, 10, 11}));
-}
-
-TEST(SlidingWindowTest, OverlappingWindows)
-{
-    SlidingWindowSegmenter seg(4, 2);
-    for (int i = 0; i < 8; ++i)
-        seg.push(static_cast<double>(i));
-    ASSERT_EQ(seg.ready(), 3u);
-    EXPECT_EQ(seg.pop(), (std::vector<double>{0, 1, 2, 3}));
-    EXPECT_EQ(seg.pop(), (std::vector<double>{2, 3, 4, 5}));
-    EXPECT_EQ(seg.pop(), (std::vector<double>{4, 5, 6, 7}));
-}
-
-TEST(SlidingWindowTest, BlockPushEqualsSamplePush)
-{
-    SlidingWindowSegmenter a(8, 3);
-    SlidingWindowSegmenter b(8, 3);
-    Rng rng(1601);
-    std::vector<double> samples(64);
-    for (double &v : samples)
-        v = rng.gaussian();
-    for (double v : samples)
-        a.push(v);
-    b.push(samples);
-    ASSERT_EQ(a.ready(), b.ready());
-    while (a.ready() > 0)
-        EXPECT_EQ(a.pop(), b.pop());
-}
-
-TEST(SlidingWindowTest, PopWithoutWindowPanics)
-{
-    SlidingWindowSegmenter seg(4, 4);
-    seg.push(1.0);
-    EXPECT_THROW(seg.pop(), PanicError);
-}
-
-TEST(SlidingWindowTest, InvalidConfigPanics)
-{
-    EXPECT_THROW(SlidingWindowSegmenter(0, 1), PanicError);
-    EXPECT_THROW(SlidingWindowSegmenter(4, 0), PanicError);
-}
 
 TEST(PeakSegmenterTest, DetectsIsolatedSpikes)
 {
@@ -150,7 +98,7 @@ TEST(PeakSegmenterTest, FindsSyntheticHeartbeats)
     while (seg.ready() > 0) {
         const std::vector<double> window = seg.pop();
         ASSERT_EQ(window.size(), 82u);
-        EXPECT_GT(featureMax(window), 0.5);
+        EXPECT_GT(featureMax(window.data(), window.size()), 0.5);
     }
 }
 
