@@ -14,6 +14,7 @@
 #define XPRO_COMMON_FIXED_POINT_HH
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -49,6 +50,39 @@ class Fixed
 
     /** Reinterpret a raw Q16.16 bit pattern. */
     static constexpr Fixed fromRaw(int32_t raw) { return Fixed(raw); }
+
+    /**
+     * Round a Q32.32 value -- a wide product or MAC sum -- to
+     * Q16.16: round half up, then saturate.
+     */
+    static constexpr Fixed
+    fromQ32(int64_t q32)
+    {
+        const int64_t rounding = int64_t{1} << (fracBits - 1);
+        return Fixed(saturate((q32 + rounding) >> fracBits));
+    }
+
+    /**
+     * Divide a wide accumulator by a sample count, rounding half away
+     * from zero. The quotient keeps the accumulator's format.
+     */
+    static constexpr int64_t
+    roundedQuotient(int64_t acc, size_t count)
+    {
+        const int64_t n = static_cast<int64_t>(count);
+        const int64_t half = acc >= 0 ? n / 2 : -(n / 2);
+        return (acc + half) / n;
+    }
+
+    /**
+     * Read a wide raw-Q16.16 accumulator out as the mean over
+     * @p count samples: the rounded quotient, saturated.
+     */
+    static constexpr Fixed
+    fromAccumulator(int64_t acc_raw, size_t count)
+    {
+        return Fixed(saturate(roundedQuotient(acc_raw, count)));
+    }
 
     /** Largest representable value. */
     static constexpr Fixed
@@ -96,10 +130,7 @@ class Fixed
     constexpr Fixed
     operator*(Fixed o) const
     {
-        const int64_t prod = static_cast<int64_t>(_raw) * o._raw;
-        // Round to nearest before dropping the extra fractional bits.
-        const int64_t rounding = int64_t{1} << (fracBits - 1);
-        return Fixed(saturate((prod + rounding) >> fracBits));
+        return fromQ32(static_cast<int64_t>(_raw) * o._raw);
     }
 
     constexpr Fixed

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "hw/cell_sim.hh"
 
 namespace xpro
 {
@@ -41,26 +42,22 @@ FixedPipeline::extractFeatures(const std::vector<double> &segment) const
     // Quantize at the ADC, frame, and decompose on the fixed grid.
     const std::vector<Fixed> samples = quantizeSignal(segment);
     std::vector<Fixed> frame(dwtFrameLength, Fixed());
-    const size_t n = std::min(samples.size(), dwtFrameLength);
-    for (size_t i = 0; i < n; ++i)
-        frame[i] = samples[i];
-    const FixedDwtDecomposition decomp =
+    std::copy_n(samples.begin(), std::min(samples.size(), dwtFrameLength),
+                frame.begin());
+    FixedDwtDecomposition decomp =
         fixedDwtDecompose(frame, _wavelet, dwtLevels);
+    // The deepest domain's band is its detail then the approximation.
+    decomp.detail.back().insert(decomp.detail.back().end(),
+                                decomp.approx.begin(),
+                                decomp.approx.end());
 
     std::vector<Fixed> out(featurePoolSize, Fixed());
     for (size_t d = 0; d < featureDomainCount; ++d) {
         const auto domain = static_cast<FeatureDomain>(d);
-        std::vector<Fixed> signal;
-        if (domain == FeatureDomain::Time) {
-            signal = samples;
-        } else {
-            const size_t level = domainLevel(domain);
-            signal = decomp.detail[level - 1];
-            if (level == dwtLevels) {
-                signal.insert(signal.end(), decomp.approx.begin(),
-                              decomp.approx.end());
-            }
-        }
+        const std::span<const Fixed> signal =
+            domain == FeatureDomain::Time
+                ? std::span<const Fixed>(samples)
+                : decomp.detail[domainLevel(domain) - 1];
         for (FeatureKind kind : allFeatureKinds) {
             out[featureIndex({domain, kind})] =
                 computeFixedFeature(kind, signal);

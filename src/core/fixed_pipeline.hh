@@ -6,12 +6,13 @@
  *
  * A TrainedPipeline (double-precision training artifacts) is
  * quantized into Q16.16 form: raw samples are quantized once at the
- * ADC, the DWT bands come from dwt_fixed, every feature from
- * features_fixed, the min-max scaler from quantized (min, 1/range)
- * pairs, the base classifiers from FixedSvm and the weighted voting
- * from quantized fusion weights. Tests bound the end-to-end decision
- * disagreement against the double pipeline — the figure of merit for
- * the paper's 32-bit fixed-number design choice (Section 4.4).
+ * ADC, the DWT bands come from dwt_fixed, every feature from the
+ * serial feature cells of hw/cell_sim, the min-max scaler from
+ * quantized (min, 1/range) pairs, the base classifiers from FixedSvm
+ * and the weighted voting from quantized fusion weights. Tests bound
+ * the end-to-end decision disagreement against the double pipeline —
+ * the figure of merit for the paper's 32-bit fixed-number design
+ * choice (Section 4.4).
  */
 
 #ifndef XPRO_CORE_FIXED_PIPELINE_HH
@@ -21,7 +22,6 @@
 
 #include "core/pipeline.hh"
 #include "dsp/dwt_fixed.hh"
-#include "dsp/features_fixed.hh"
 #include "ml/svm_fixed.hh"
 
 namespace xpro

@@ -14,7 +14,20 @@ namespace xpro
 namespace
 {
 
-/** Analysis low-pass filter taps for each wavelet family. */
+/** High-pass taps from low-pass ones (quadrature mirror). */
+std::vector<double>
+quadratureMirror(const std::vector<double> &low)
+{
+    std::vector<double> high(low.size());
+    for (size_t i = 0; i < low.size(); ++i) {
+        const double sign = (i % 2 == 0) ? 1.0 : -1.0;
+        high[i] = sign * low[low.size() - 1 - i];
+    }
+    return high;
+}
+
+} // namespace
+
 const std::vector<double> &
 lowPassTaps(Wavelet wavelet)
 {
@@ -29,34 +42,15 @@ lowPassTaps(Wavelet wavelet)
     return wavelet == Wavelet::Haar ? haar : db4;
 }
 
-/** High-pass taps by the quadrature-mirror relation. */
-std::vector<double>
+const std::vector<double> &
 highPassTaps(Wavelet wavelet)
 {
-    const std::vector<double> &low = lowPassTaps(wavelet);
-    std::vector<double> high(low.size());
-    for (size_t i = 0; i < low.size(); ++i) {
-        const double sign = (i % 2 == 0) ? 1.0 : -1.0;
-        high[i] = sign * low[low.size() - 1 - i];
-    }
-    return high;
-}
-
-/**
- * Cached high-pass taps; the steady-state decompose() path must not
- * construct the tap vector per call (zero-allocation contract).
- */
-const std::vector<double> &
-highPassTapsCached(Wavelet wavelet)
-{
     static const std::vector<double> haar =
-        highPassTaps(Wavelet::Haar);
+        quadratureMirror(lowPassTaps(Wavelet::Haar));
     static const std::vector<double> db4 =
-        highPassTaps(Wavelet::Db4);
+        quadratureMirror(lowPassTaps(Wavelet::Db4));
     return wavelet == Wavelet::Haar ? haar : db4;
 }
-
-} // namespace
 
 const std::string &
 waveletName(Wavelet wavelet)
@@ -70,7 +64,7 @@ DwtLevel
 dwtStep(const std::vector<double> &signal, Wavelet wavelet)
 {
     const std::vector<double> &low = lowPassTaps(wavelet);
-    const std::vector<double> high = highPassTaps(wavelet);
+    const std::vector<double> &high = highPassTaps(wavelet);
     const size_t n = signal.size();
     xproAssert(n % 2 == 0, "DWT input length %zu must be even", n);
     xproAssert(n >= low.size(), "DWT input shorter than filter");
@@ -96,7 +90,7 @@ std::vector<double>
 idwtStep(const DwtLevel &level, Wavelet wavelet)
 {
     const std::vector<double> &low = lowPassTaps(wavelet);
-    const std::vector<double> high = highPassTaps(wavelet);
+    const std::vector<double> &high = highPassTaps(wavelet);
     const size_t half = level.approx.size();
     xproAssert(level.detail.size() == half,
                "approx/detail length mismatch");
@@ -123,7 +117,7 @@ DwtScratch::decompose(const double *signal, size_t n,
                levels);
 
     const std::vector<double> &low = lowPassTaps(wavelet);
-    const std::vector<double> &high = highPassTapsCached(wavelet);
+    const std::vector<double> &high = highPassTaps(wavelet);
     const size_t taps = low.size();
     // Periodic extension: tap t reads phase element k + t/2, so the
     // phase buffers carry taps/2 - 1 wrapped elements past the end.

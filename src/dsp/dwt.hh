@@ -31,6 +31,16 @@ enum class Wavelet
 /** Display name of a wavelet. */
 const std::string &waveletName(Wavelet wavelet);
 
+/** Analysis low-pass filter taps of a wavelet family. */
+const std::vector<double> &lowPassTaps(Wavelet wavelet);
+
+/**
+ * Analysis high-pass filter taps, derived from the low-pass ones by
+ * the quadrature-mirror relation. Built once; the steady-state
+ * decompose() path must not construct tap vectors per call.
+ */
+const std::vector<double> &highPassTaps(Wavelet wavelet);
+
 /** Result of a single decomposition level. */
 struct DwtLevel
 {

@@ -1,7 +1,5 @@
 #include "dsp/dwt_fixed.hh"
 
-#include <numbers>
-
 #include "common/logging.hh"
 
 namespace xpro
@@ -9,40 +7,6 @@ namespace xpro
 
 namespace
 {
-
-/** Quantize double taps onto the Q16.16 grid. */
-std::vector<Fixed>
-quantizeTaps(const std::vector<double> &taps)
-{
-    std::vector<Fixed> out;
-    out.reserve(taps.size());
-    for (double tap : taps)
-        out.push_back(Fixed::fromDouble(tap));
-    return out;
-}
-
-/** Double-precision analysis taps (shared with dsp/dwt.cc values). */
-std::vector<double>
-doubleLowPass(Wavelet wavelet)
-{
-    if (wavelet == Wavelet::Haar) {
-        return {1.0 / std::numbers::sqrt2, 1.0 / std::numbers::sqrt2};
-    }
-    return {0.48296291314469025, 0.83651630373746899,
-            0.22414386804185735, -0.12940952255092145};
-}
-
-std::vector<double>
-doubleHighPass(Wavelet wavelet)
-{
-    const std::vector<double> low = doubleLowPass(wavelet);
-    std::vector<double> high(low.size());
-    for (size_t i = 0; i < low.size(); ++i) {
-        const double sign = (i % 2 == 0) ? 1.0 : -1.0;
-        high[i] = sign * low[low.size() - 1 - i];
-    }
-    return high;
-}
 
 /**
  * One output coefficient: a taps-wide MAC with a 64-bit (Q32.32)
@@ -59,34 +23,46 @@ macCoefficient(const std::vector<Fixed> &signal, size_t start,
         const Fixed sample = signal[(start + t) % n];
         acc_q32 += static_cast<int64_t>(sample.raw()) * taps[t].raw();
     }
-    const int64_t rounding = int64_t{1} << (Fixed::fracBits - 1);
-    const int64_t raw = (acc_q32 + rounding) >> Fixed::fracBits;
-    if (raw > std::numeric_limits<int32_t>::max())
-        return Fixed::max();
-    if (raw < std::numeric_limits<int32_t>::min())
-        return Fixed::min();
-    return Fixed::fromRaw(static_cast<int32_t>(raw));
+    return Fixed::fromQ32(acc_q32);
 }
 
 } // namespace
 
 std::vector<Fixed>
-fixedLowPassTaps(Wavelet wavelet)
+quantizeSignal(const std::vector<double> &signal)
 {
-    return quantizeTaps(doubleLowPass(wavelet));
+    std::vector<Fixed> out;
+    out.reserve(signal.size());
+    for (double v : signal)
+        out.push_back(Fixed::fromDouble(v));
+    return out;
 }
 
-std::vector<Fixed>
+const std::vector<Fixed> &
+fixedLowPassTaps(Wavelet wavelet)
+{
+    static const std::vector<Fixed> haar =
+        quantizeSignal(lowPassTaps(Wavelet::Haar));
+    static const std::vector<Fixed> db4 =
+        quantizeSignal(lowPassTaps(Wavelet::Db4));
+    return wavelet == Wavelet::Haar ? haar : db4;
+}
+
+const std::vector<Fixed> &
 fixedHighPassTaps(Wavelet wavelet)
 {
-    return quantizeTaps(doubleHighPass(wavelet));
+    static const std::vector<Fixed> haar =
+        quantizeSignal(highPassTaps(Wavelet::Haar));
+    static const std::vector<Fixed> db4 =
+        quantizeSignal(highPassTaps(Wavelet::Db4));
+    return wavelet == Wavelet::Haar ? haar : db4;
 }
 
 FixedDwtLevel
 fixedDwtStep(const std::vector<Fixed> &signal, Wavelet wavelet)
 {
-    const std::vector<Fixed> low = fixedLowPassTaps(wavelet);
-    const std::vector<Fixed> high = fixedHighPassTaps(wavelet);
+    const std::vector<Fixed> &low = fixedLowPassTaps(wavelet);
+    const std::vector<Fixed> &high = fixedHighPassTaps(wavelet);
     const size_t n = signal.size();
     xproAssert(n % 2 == 0, "fixed DWT input length %zu must be even",
                n);

@@ -2,13 +2,14 @@
  * @file
  * Fixed-point (Q16.16) discrete wavelet transform.
  *
- * This is the datapath the in-sensor DWT cells implement: filter
- * taps quantized onto the Q16.16 grid, MACs accumulated in a wide
- * (64-bit) register and rounded once per output coefficient, exactly
- * like a synthesized MAC unit. Together with features_fixed it
- * closes the hardware-faithful path raw samples -> DWT bands ->
- * statistical features, and tests bound the quantization error
- * against the double-precision reference across all five levels.
+ * This is the datapath the in-sensor DWT cells implement: dwt.hh's
+ * filter taps quantized onto the Q16.16 grid, MACs accumulated in a
+ * wide (64-bit) register and rounded once per output coefficient
+ * (Fixed::fromQ32), exactly like a synthesized MAC unit. Together
+ * with the serial feature cells of hw/cell_sim it closes the
+ * hardware-faithful path raw samples -> DWT bands -> statistical
+ * features, and tests bound the quantization error against the
+ * double-precision reference across all five levels.
  */
 
 #ifndef XPRO_DSP_DWT_FIXED_HH
@@ -36,9 +37,12 @@ struct FixedDwtDecomposition
     std::vector<Fixed> approx;
 };
 
-/** Analysis filter taps quantized to Q16.16. */
-std::vector<Fixed> fixedLowPassTaps(Wavelet wavelet);
-std::vector<Fixed> fixedHighPassTaps(Wavelet wavelet);
+/** Quantize a double-precision signal onto the Q16.16 grid. */
+std::vector<Fixed> quantizeSignal(const std::vector<double> &signal);
+
+/** dwt.hh's analysis filter taps, quantized to Q16.16 once. */
+const std::vector<Fixed> &fixedLowPassTaps(Wavelet wavelet);
+const std::vector<Fixed> &fixedHighPassTaps(Wavelet wavelet);
 
 /**
  * One analysis step with periodic extension on the Q16.16 grid;

@@ -3,8 +3,8 @@
  * The eight hardware-friendly statistical features of the generic
  * classification framework (paper Section 2.1): Max, Min, Mean, Var,
  * Std, Czero, Skew and Kurt, computed in double precision. The
- * fixed-point datapath the in-sensor cells implement lives in
- * features_fixed.hh; tests check both agree within quantization error.
+ * Q16.16 programs the in-sensor cells run live in hw/cell_sim.hh;
+ * tests check both agree within quantization error.
  */
 
 #ifndef XPRO_DSP_FEATURES_HH

@@ -1,46 +1,129 @@
 #include "hw/cell_sim.hh"
 
-#include <limits>
-
 #include "common/logging.hh"
-#include "dsp/features_fixed.hh"
 
 namespace xpro
 {
 
-Fixed
-SerialAluSim::divAccumulator(int64_t acc_raw, size_t n)
-{
-    issue(AluOp::Div);
-    const int64_t count = static_cast<int64_t>(n);
-    const int64_t half = acc_raw >= 0 ? count / 2 : -(count / 2);
-    const int64_t mean_raw = (acc_raw + half) / count;
-    if (mean_raw > std::numeric_limits<int32_t>::max())
-        return Fixed::max();
-    if (mean_raw < std::numeric_limits<int32_t>::min())
-        return Fixed::min();
-    return Fixed::fromRaw(static_cast<int32_t>(mean_raw));
-}
-
-Fixed
-SerialAluSim::divAccumulatorWide(int64_t acc_q32, size_t n)
-{
-    issue(AluOp::Div);
-    const int64_t count = static_cast<int64_t>(n);
-    const int64_t var_q32 = (acc_q32 + count / 2) / count;
-    const int64_t var_q16 =
-        (var_q32 + (int64_t{1} << (Fixed::fracBits - 1))) >>
-        Fixed::fracBits;
-    if (var_q16 > std::numeric_limits<int32_t>::max())
-        return Fixed::max();
-    return Fixed::fromRaw(static_cast<int32_t>(var_q16));
-}
-
 namespace
 {
 
+/**
+ * A serial S-ALU with op accounting. Every datapath method issues
+ * exactly one operation; buffer reads are explicit.
+ */
+class SerialAluSim
+{
+  public:
+    /** Read one word from the cell's input buffer. */
+    Fixed
+    load(std::span<const Fixed> buffer, size_t index)
+    {
+        issue(AluOp::Buf);
+        return buffer[index];
+    }
+
+    Fixed
+    add(Fixed a, Fixed b)
+    {
+        issue(AluOp::Add);
+        return a + b;
+    }
+
+    Fixed
+    sub(Fixed a, Fixed b)
+    {
+        issue(AluOp::Add);
+        return a - b;
+    }
+
+    /** Wide-accumulator add: raw Q16.16 into a 64-bit register. */
+    int64_t
+    accumulate(int64_t acc, Fixed value)
+    {
+        issue(AluOp::Add);
+        return acc + value.raw();
+    }
+
+    /** Wide-accumulator add of a Q32.32 product term. */
+    int64_t
+    accumulateWide(int64_t acc, int64_t term_q32)
+    {
+        issue(AluOp::Add);
+        return acc + term_q32;
+    }
+
+    Fixed
+    mul(Fixed a, Fixed b)
+    {
+        issue(AluOp::Mul);
+        return a * b;
+    }
+
+    /** Full product as Q32.32 (wide multiplier). */
+    int64_t
+    mulWide(Fixed a, Fixed b)
+    {
+        issue(AluOp::Mul);
+        return static_cast<int64_t>(a.raw()) * b.raw();
+    }
+
+    Fixed
+    div(Fixed a, Fixed b)
+    {
+        issue(AluOp::Div);
+        return a / b;
+    }
+
+    /** Divide a raw-Q16.16 accumulator by a count, to nearest. */
+    Fixed
+    divAccumulator(int64_t acc_raw, size_t n)
+    {
+        issue(AluOp::Div);
+        return Fixed::fromAccumulator(acc_raw, n);
+    }
+
+    /** Divide a Q32.32 accumulator by a count down to Q16.16. */
+    Fixed
+    divAccumulatorWide(int64_t acc_q32, size_t n)
+    {
+        issue(AluOp::Div);
+        return Fixed::fromQ32(Fixed::roundedQuotient(acc_q32, n));
+    }
+
+    Fixed
+    sqrt(Fixed a)
+    {
+        issue(AluOp::Sqrt);
+        return a.sqrt();
+    }
+
+    bool
+    less(Fixed a, Fixed b)
+    {
+        issue(AluOp::Cmp);
+        return a < b;
+    }
+
+    bool
+    signBit(Fixed a)
+    {
+        issue(AluOp::Cmp);
+        return a.raw() < 0;
+    }
+
+    const std::array<size_t, aluOpCount> &ops() const { return _ops; }
+
+  private:
+    void issue(AluOp op) { ++_ops[static_cast<size_t>(op)]; }
+
+    std::array<size_t, aluOpCount> _ops{};
+};
+
+using Input = std::span<const Fixed>;
+
 Fixed
-runMax(SerialAluSim &alu, const std::vector<Fixed> &input, bool max)
+runMax(SerialAluSim &alu, Input input, bool max)
 {
     Fixed best = alu.load(input, 0);
     for (size_t i = 1; i < input.size(); ++i) {
@@ -53,7 +136,7 @@ runMax(SerialAluSim &alu, const std::vector<Fixed> &input, bool max)
 }
 
 Fixed
-runMean(SerialAluSim &alu, const std::vector<Fixed> &input)
+runMean(SerialAluSim &alu, Input input)
 {
     int64_t acc = 0;
     for (size_t i = 0; i < input.size(); ++i)
@@ -62,14 +145,13 @@ runMean(SerialAluSim &alu, const std::vector<Fixed> &input)
 }
 
 Fixed
-runVarGivenMean(SerialAluSim &alu, const std::vector<Fixed> &input,
-                Fixed mu)
+runVarGivenMean(SerialAluSim &alu, Input input, Fixed mu)
 {
     int64_t acc_q32 = 0;
     for (size_t i = 0; i < input.size(); ++i) {
         const Fixed v = alu.load(input, i);
-        // Wide subtract + square, as the synthesized datapath does
-        // (the deviation cannot saturate in the 64-bit register).
+        // Q16.16 subtract, then a wide square: the Q32.32 squares
+        // sum in the 64-bit register.
         const Fixed d = alu.sub(v, mu);
         acc_q32 = alu.accumulateWide(acc_q32, alu.mulWide(d, d));
     }
@@ -77,13 +159,13 @@ runVarGivenMean(SerialAluSim &alu, const std::vector<Fixed> &input,
 }
 
 Fixed
-runVar(SerialAluSim &alu, const std::vector<Fixed> &input)
+runVar(SerialAluSim &alu, Input input)
 {
     return runVarGivenMean(alu, input, runMean(alu, input));
 }
 
 Fixed
-runCzero(SerialAluSim &alu, const std::vector<Fixed> &input)
+runCzero(SerialAluSim &alu, Input input)
 {
     int32_t crossings = 0;
     bool prev_neg = alu.signBit(alu.load(input, 0));
@@ -99,8 +181,7 @@ runCzero(SerialAluSim &alu, const std::vector<Fixed> &input)
 }
 
 Fixed
-runMoment(SerialAluSim &alu, const std::vector<Fixed> &input,
-          bool fourth)
+runMoment(SerialAluSim &alu, Input input, bool fourth)
 {
     const Fixed mu = runMean(alu, input);
     // sigma via the Var path (reusing mu) plus one sqrt (Fig. 5).
@@ -124,49 +205,45 @@ runMoment(SerialAluSim &alu, const std::vector<Fixed> &input,
     return alu.divAccumulator(acc, input.size());
 }
 
+/** Run the cell program of @p kind, counting its ops into @p alu. */
+Fixed
+runFeature(SerialAluSim &alu, FeatureKind kind, Input input)
+{
+    xproAssert(input.size() >= 2, "cell input too short");
+    switch (kind) {
+      case FeatureKind::Max:   return runMax(alu, input, true);
+      case FeatureKind::Min:   return runMax(alu, input, false);
+      case FeatureKind::Mean:  return runMean(alu, input);
+      case FeatureKind::Var:   return runVar(alu, input);
+      // The Std cell reuses the Var cell output and adds one
+      // hardware square root (paper Fig. 5).
+      case FeatureKind::Std:   return alu.sqrt(runVar(alu, input));
+      case FeatureKind::Czero: return runCzero(alu, input);
+      case FeatureKind::Skew:  return runMoment(alu, input, false);
+      case FeatureKind::Kurt:  return runMoment(alu, input, true);
+    }
+    panic("unknown feature kind %d", static_cast<int>(kind));
+}
+
 } // namespace
+
+Fixed
+computeFixedFeature(FeatureKind kind, std::span<const Fixed> input)
+{
+    SerialAluSim alu;
+    return runFeature(alu, kind, input);
+}
 
 CellExecution
 executeFeatureCell(FeatureKind kind, const std::vector<Fixed> &input,
                    const Technology &tech)
 {
-    xproAssert(input.size() >= 2, "cell input too short");
-    SerialAluSim alu(tech);
-
-    Fixed result;
-    switch (kind) {
-      case FeatureKind::Max:
-        result = runMax(alu, input, true);
-        break;
-      case FeatureKind::Min:
-        result = runMax(alu, input, false);
-        break;
-      case FeatureKind::Mean:
-        result = runMean(alu, input);
-        break;
-      case FeatureKind::Var:
-        result = runVar(alu, input);
-        break;
-      case FeatureKind::Std:
-        result = alu.sqrt(runVar(alu, input));
-        break;
-      case FeatureKind::Czero:
-        result = runCzero(alu, input);
-        break;
-      case FeatureKind::Skew:
-        result = runMoment(alu, input, false);
-        break;
-      case FeatureKind::Kurt:
-        result = runMoment(alu, input, true);
-        break;
-      default:
-        panic("unknown feature kind %d", static_cast<int>(kind));
-    }
-
+    SerialAluSim alu;
     CellExecution execution;
-    execution.result = result;
+    execution.result = runFeature(alu, kind, input);
     execution.ops = alu.ops();
-    execution.cycles = alu.cycles();
+    for (AluOp op : allAluOps)
+        execution.cycles += execution.count(op) * tech.opCycles(op);
     return execution;
 }
 

@@ -1,25 +1,29 @@
 /**
  * @file
- * Executable serial functional-cell simulator.
+ * The Q16.16 statistical feature cells, written once as serial-cell
+ * programs.
  *
- * The cost library (cell_library.hh) *models* each component's
- * operation counts; this module *executes* the feature algorithms
- * op-by-op on a serial S-ALU with the Q16.16 datapath, counting every
- * issued operation and its cycles. Tests close the loop in both
- * directions:
+ * Each feature runs op-by-op on a serial S-ALU with the Q16.16
+ * datapath of paper Section 4.4 (32-bit fixed numbers, 16 integer /
+ * 16 decimal bits), counting every issued operation. Accumulations
+ * use wide (64-bit) registers, as a synthesized accumulator would,
+ * and round back to Q16.16 at the cell output. The same program
+ * serves two callers:
  *
- *  - the computed value must equal the features_fixed datapath bit
- *    for bit (the cell really computes what the classifier was
- *    trained on);
- *  - the executed op counts and cycle totals must agree with the
- *    cost library's model within a small tolerance (the energy
- *    numbers feeding the generator rest on real programs, not
- *    guesses).
+ *  - computeFixedFeature() is the fixed-point feature value the
+ *    quantized inference pipeline (core/fixed_pipeline) computes;
+ *    tests check it tracks the double reference in dsp/features
+ *    within quantization error;
+ *  - executeFeatureCell() adds the op and cycle accounting, and
+ *    tests check it agrees with the cost library's model
+ *    (cell_library.hh) within a small tolerance, so the energy
+ *    numbers feeding the generator rest on real programs.
  */
 
 #ifndef XPRO_HW_CELL_SIM_HH
 #define XPRO_HW_CELL_SIM_HH
 
+#include <span>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -47,120 +51,16 @@ struct CellExecution
 };
 
 /**
- * A serial S-ALU with op/cycle accounting. Every datapath method
- * issues exactly one operation; buffer reads are explicit.
+ * The Q16.16 value of a statistical feature: the result of the
+ * feature cell's program on @p input (at least two samples).
  */
-class SerialAluSim
-{
-  public:
-    explicit SerialAluSim(const Technology &tech) : _tech(tech) {}
-
-    /** Read one word from the cell's input buffer. */
-    Fixed
-    load(const std::vector<Fixed> &buffer, size_t index)
-    {
-        issue(AluOp::Buf);
-        return buffer[index];
-    }
-
-    Fixed
-    add(Fixed a, Fixed b)
-    {
-        issue(AluOp::Add);
-        return a + b;
-    }
-
-    Fixed
-    sub(Fixed a, Fixed b)
-    {
-        issue(AluOp::Add);
-        return a - b;
-    }
-
-    /** Wide-accumulator add: raw Q16.16 into a 64-bit register. */
-    int64_t
-    accumulate(int64_t acc, Fixed value)
-    {
-        issue(AluOp::Add);
-        return acc + value.raw();
-    }
-
-    /** Wide-accumulator add of a Q32.32 product term. */
-    int64_t
-    accumulateWide(int64_t acc, int64_t term_q32)
-    {
-        issue(AluOp::Add);
-        return acc + term_q32;
-    }
-
-    Fixed
-    mul(Fixed a, Fixed b)
-    {
-        issue(AluOp::Mul);
-        return a * b;
-    }
-
-    /** Squared deviation as a Q32.32 product (wide multiplier). */
-    int64_t
-    mulWide(Fixed a, Fixed b)
-    {
-        issue(AluOp::Mul);
-        return static_cast<int64_t>(a.raw()) * b.raw();
-    }
-
-    Fixed
-    div(Fixed a, Fixed b)
-    {
-        issue(AluOp::Div);
-        return a / b;
-    }
-
-    /** Divide a wide accumulator by a count, rounding to nearest. */
-    Fixed divAccumulator(int64_t acc_raw, size_t n);
-
-    /** Divide a Q32.32 accumulator by a count down to Q16.16. */
-    Fixed divAccumulatorWide(int64_t acc_q32, size_t n);
-
-    Fixed
-    sqrt(Fixed a)
-    {
-        issue(AluOp::Sqrt);
-        return a.sqrt();
-    }
-
-    bool
-    less(Fixed a, Fixed b)
-    {
-        issue(AluOp::Cmp);
-        return a < b;
-    }
-
-    bool
-    signBit(Fixed a)
-    {
-        issue(AluOp::Cmp);
-        return a.raw() < 0;
-    }
-
-    size_t cycles() const { return _cycles; }
-    const std::array<size_t, aluOpCount> &ops() const { return _ops; }
-
-  private:
-    void
-    issue(AluOp op)
-    {
-        ++_ops[static_cast<size_t>(op)];
-        _cycles += _tech.opCycles(op);
-    }
-
-    const Technology &_tech;
-    std::array<size_t, aluOpCount> _ops{};
-    size_t _cycles = 0;
-};
+Fixed computeFixedFeature(FeatureKind kind,
+                          std::span<const Fixed> input);
 
 /**
- * Execute a statistical feature cell on a quantized input segment.
- * The result is bit-exact with computeFixedFeature().
+ * Execute a statistical feature cell on a quantized input segment
+ * (at least two samples): the computeFixedFeature() result plus the
+ * issued ops and their serial cycles on @p tech.
  */
 CellExecution executeFeatureCell(FeatureKind kind,
                                  const std::vector<Fixed> &input,

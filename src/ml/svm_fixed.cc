@@ -1,7 +1,5 @@
 #include "ml/svm_fixed.hh"
 
-#include <limits>
-
 #include "common/logging.hh"
 
 namespace xpro
@@ -79,22 +77,13 @@ FixedSvm::decision(const std::vector<Fixed> &x) const
                 static_cast<int64_t>(x[d].raw()) - sv[d].raw();
             dist_q32 += diff * diff;
         }
-        const int64_t dist_q16 =
-            (dist_q32 + (int64_t{1} << (Fixed::fracBits - 1))) >>
-            Fixed::fracBits;
-        const Fixed dist =
-            dist_q16 > std::numeric_limits<int32_t>::max()
-                ? Fixed::max()
-                : Fixed::fromRaw(static_cast<int32_t>(dist_q16));
+        const Fixed dist = Fixed::fromQ32(dist_q32);
 
         const Fixed kernel = fixedExpNeg(_gamma * dist);
         acc_raw += (_weights[k] * kernel).raw();
     }
-    if (acc_raw > std::numeric_limits<int32_t>::max())
-        return Fixed::max();
-    if (acc_raw < std::numeric_limits<int32_t>::min())
-        return Fixed::min();
-    return Fixed::fromRaw(static_cast<int32_t>(acc_raw));
+    // A plain sum: read out over a count of one, saturating.
+    return Fixed::fromAccumulator(acc_raw, 1);
 }
 
 } // namespace xpro

@@ -9,9 +9,9 @@
  * kernel's e^-t is computed with the shift-and-polynomial scheme an
  * S-ALU "super computation" unit implements (range reduction to
  * 2^-f on [0,1) plus a cubic polynomial). Together with dwt_fixed
- * and features_fixed this closes the hardware-faithful inference
- * path end to end; tests bound the decision disagreement against
- * the double model.
+ * and the feature cells of hw/cell_sim this closes the
+ * hardware-faithful inference path end to end; tests bound the
+ * decision disagreement against the double model.
  */
 
 #ifndef XPRO_ML_SVM_FIXED_HH

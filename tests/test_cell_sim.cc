@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests closing the loop between the executable serial-cell
- * simulator, the fixed-point feature datapath and the cost library:
- * values must be bit-exact with features_fixed, and measured
- * op/cycle counts must agree with the modeled workloads.
+ * Tests closing the loop between the serial-cell feature programs
+ * and the cost library: measured op/cycle counts must agree with the
+ * modeled workloads. The programs' values are checked against the
+ * double reference in test_features_fixed and pinned bit for bit by
+ * the golden digest in test_fixed_pipeline.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "dsp/features_fixed.hh"
 #include "hw/cell_library.hh"
 #include "hw/cell_model.hh"
 #include "hw/cell_sim.hh"
@@ -32,21 +32,6 @@ randomInput(Rng &rng, size_t n, double amplitude = 1.5)
     for (size_t i = 0; i < n; ++i)
         out.push_back(Fixed::fromDouble(rng.gaussian(0.0, amplitude)));
     return out;
-}
-
-TEST(CellSimTest, ResultsBitExactWithFixedDatapath)
-{
-    Rng rng(1801);
-    for (int trial = 0; trial < 10; ++trial) {
-        const auto input = randomInput(rng, 128);
-        for (FeatureKind kind : allFeatureKinds) {
-            const CellExecution exec =
-                executeFeatureCell(kind, input, tech90);
-            EXPECT_EQ(exec.result.raw(),
-                      computeFixedFeature(kind, input).raw())
-                << featureName(kind) << " trial " << trial;
-        }
-    }
 }
 
 TEST(CellSimTest, OpCountsMatchCostLibrary)
@@ -125,18 +110,6 @@ TEST(CellSimTest, CyclesScaleWithInputLength)
         const size_t long_cycles =
             executeFeatureCell(kind, long_input, tech90).cycles;
         EXPECT_GT(long_cycles, 3 * short_cycles)
-            << featureName(kind);
-    }
-}
-
-TEST(CellSimTest, ConstantInputDegeneratesGracefully)
-{
-    const std::vector<Fixed> flat(64, Fixed::fromDouble(2.0));
-    for (FeatureKind kind : allFeatureKinds) {
-        const CellExecution exec =
-            executeFeatureCell(kind, flat, tech90);
-        EXPECT_EQ(exec.result.raw(),
-                  computeFixedFeature(kind, flat).raw())
             << featureName(kind);
     }
 }

@@ -14,7 +14,7 @@
 #include "common/random.hh"
 #include "dsp/dwt_fixed.hh"
 #include "dsp/features.hh"
-#include "dsp/features_fixed.hh"
+#include "hw/cell_sim.hh"
 
 namespace
 {
@@ -122,12 +122,15 @@ TEST(DwtFixedTest, FeaturesOnFixedBandsTrackReference)
         const std::vector<double> &band = ref.detail[level];
         const double ref_var = featureVar(band.data(), band.size());
         const double fixed_var =
-            fixedVar(fixed.detail[level]).toDouble();
+            computeFixedFeature(FeatureKind::Var, fixed.detail[level])
+                .toDouble();
         EXPECT_NEAR(fixed_var, ref_var, 0.05 * (1.0 + ref_var))
             << "level " << level + 1;
         const double ref_max = featureMax(band.data(), band.size());
-        EXPECT_NEAR(fixedMax(fixed.detail[level]).toDouble(),
-                    ref_max, 0.02)
+        EXPECT_NEAR(
+            computeFixedFeature(FeatureKind::Max, fixed.detail[level])
+                .toDouble(),
+            ref_max, 0.02)
             << "level " << level + 1;
     }
 }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests that the Q16.16 feature datapath tracks the double-precision
- * reference within quantization error, on signals with the dynamic
- * range of normalized biosignals.
+ * Tests that the Q16.16 feature cells (computeFixedFeature) track the
+ * double-precision reference within quantization error, on signals
+ * with the dynamic range of normalized biosignals.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +10,9 @@
 #include <cmath>
 
 #include "common/random.hh"
+#include "dsp/dwt_fixed.hh"
 #include "dsp/features.hh"
-#include "dsp/features_fixed.hh"
+#include "hw/cell_sim.hh"
 
 namespace
 {
@@ -40,8 +41,10 @@ TEST(FeaturesFixedTest, MaxMinExactOnGrid)
 {
     const std::vector<double> signal = {0.5, -1.5, 2.0, 0.25};
     const auto q = quantizeSignal(signal);
-    EXPECT_DOUBLE_EQ(fixedMax(q).toDouble(), 2.0);
-    EXPECT_DOUBLE_EQ(fixedMin(q).toDouble(), -1.5);
+    EXPECT_DOUBLE_EQ(
+        computeFixedFeature(FeatureKind::Max, q).toDouble(), 2.0);
+    EXPECT_DOUBLE_EQ(
+        computeFixedFeature(FeatureKind::Min, q).toDouble(), -1.5);
 }
 
 TEST(FeaturesFixedTest, CzeroMatchesReferenceExactly)
@@ -50,8 +53,9 @@ TEST(FeaturesFixedTest, CzeroMatchesReferenceExactly)
     for (int trial = 0; trial < 20; ++trial) {
         const auto signal = randomSignal(rng, 128, 1.0);
         const auto q = quantizeSignal(signal);
-        EXPECT_DOUBLE_EQ(fixedCzero(q).toDouble(),
-                         featureCzero(signal.data(), signal.size()));
+        EXPECT_DOUBLE_EQ(
+            computeFixedFeature(FeatureKind::Czero, q).toDouble(),
+            featureCzero(signal.data(), signal.size()));
     }
 }
 
@@ -61,7 +65,7 @@ TEST(FeaturesFixedTest, MeanTracksReference)
     for (int trial = 0; trial < 20; ++trial) {
         const auto signal = randomSignal(rng, 128, 2.0);
         const auto q = quantizeSignal(signal);
-        EXPECT_NEAR(fixedMean(q).toDouble(),
+        EXPECT_NEAR(computeFixedFeature(FeatureKind::Mean, q).toDouble(),
                     featureMean(signal.data(), signal.size()), 1e-3);
     }
 }
@@ -73,9 +77,10 @@ TEST(FeaturesFixedTest, VarAndStdTrackReference)
         const auto signal = randomSignal(rng, 128, 2.0);
         const auto q = quantizeSignal(signal);
         const double var_ref = featureVar(signal.data(), signal.size());
-        EXPECT_NEAR(fixedVar(q).toDouble(), var_ref,
-                    1e-3 * (1.0 + var_ref));
-        EXPECT_NEAR(fixedStd(q).toDouble(), std::sqrt(var_ref), 1e-2);
+        EXPECT_NEAR(computeFixedFeature(FeatureKind::Var, q).toDouble(),
+                    var_ref, 1e-3 * (1.0 + var_ref));
+        EXPECT_NEAR(computeFixedFeature(FeatureKind::Std, q).toDouble(),
+                    std::sqrt(var_ref), 1e-2);
     }
 }
 
@@ -86,9 +91,9 @@ TEST(FeaturesFixedTest, SkewKurtTrackReference)
         const auto signal = randomSignal(rng, 128, 1.0);
         const auto q = quantizeSignal(signal);
         // Division-heavy z-score path accumulates more error.
-        EXPECT_NEAR(fixedSkew(q).toDouble(),
+        EXPECT_NEAR(computeFixedFeature(FeatureKind::Skew, q).toDouble(),
                     featureSkew(signal.data(), signal.size()), 0.05);
-        EXPECT_NEAR(fixedKurt(q).toDouble(),
+        EXPECT_NEAR(computeFixedFeature(FeatureKind::Kurt, q).toDouble(),
                     featureKurt(signal.data(), signal.size()), 0.1);
     }
 }
@@ -96,10 +101,10 @@ TEST(FeaturesFixedTest, SkewKurtTrackReference)
 TEST(FeaturesFixedTest, ConstantSignalDegenerates)
 {
     const std::vector<Fixed> flat(16, Fixed::fromDouble(3.0));
-    EXPECT_EQ(fixedVar(flat).raw(), 0);
-    EXPECT_EQ(fixedStd(flat).raw(), 0);
-    EXPECT_EQ(fixedSkew(flat).raw(), 0);
-    EXPECT_EQ(fixedKurt(flat).raw(), 0);
+    EXPECT_EQ(computeFixedFeature(FeatureKind::Var, flat).raw(), 0);
+    EXPECT_EQ(computeFixedFeature(FeatureKind::Std, flat).raw(), 0);
+    EXPECT_EQ(computeFixedFeature(FeatureKind::Skew, flat).raw(), 0);
+    EXPECT_EQ(computeFixedFeature(FeatureKind::Kurt, flat).raw(), 0);
 }
 
 TEST(FeaturesFixedTest, StdIsSqrtOfVar)
@@ -109,20 +114,9 @@ TEST(FeaturesFixedTest, StdIsSqrtOfVar)
     Rng rng(39);
     for (int trial = 0; trial < 10; ++trial) {
         const auto q = quantizeSignal(randomSignal(rng, 64, 3.0));
-        EXPECT_EQ(fixedStd(q).raw(), fixedVar(q).sqrt().raw());
+        EXPECT_EQ(computeFixedFeature(FeatureKind::Std, q).raw(),
+                  computeFixedFeature(FeatureKind::Var, q).sqrt().raw());
     }
-}
-
-TEST(FeaturesFixedTest, DispatchMatchesDirect)
-{
-    Rng rng(41);
-    const auto q = quantizeSignal(randomSignal(rng, 64, 1.0));
-    EXPECT_EQ(computeFixedFeature(FeatureKind::Max, q).raw(),
-              fixedMax(q).raw());
-    EXPECT_EQ(computeFixedFeature(FeatureKind::Var, q).raw(),
-              fixedVar(q).raw());
-    EXPECT_EQ(computeFixedFeature(FeatureKind::Kurt, q).raw(),
-              fixedKurt(q).raw());
 }
 
 /** Parameterized sweep across segment lengths used by the 6 cases. */

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/fixed_point.hh"
 #include "common/random.hh"
@@ -121,6 +122,54 @@ TEST(FixedPointTest, SqrtFractionalValues)
 TEST(FixedPointTest, SqrtOfNegativeIsZero)
 {
     EXPECT_EQ(Fixed::fromDouble(-4.0).sqrt().raw(), 0);
+}
+
+TEST(FixedPointTest, AccumulatorMeanRoundsHalfAwayFromZero)
+{
+    // Raw Q16.16 sums over a count: ties move away from zero on both
+    // sides, anything short of a tie truncates toward the nearest.
+    EXPECT_EQ(Fixed::fromAccumulator(5, 2).raw(), 3);
+    EXPECT_EQ(Fixed::fromAccumulator(-5, 2).raw(), -3);
+    EXPECT_EQ(Fixed::fromAccumulator(-6, 4).raw(), -2);
+    EXPECT_EQ(Fixed::fromAccumulator(-5, 4).raw(), -1);
+    EXPECT_EQ(Fixed::fromAccumulator(-7, 4).raw(), -2);
+    // The quotient keeps a wide accumulator's format unsaturated.
+    EXPECT_EQ(Fixed::roundedQuotient(-5, 2), -3);
+    EXPECT_EQ(Fixed::roundedQuotient(int64_t{3} << 40, 2),
+              int64_t{3} << 39);
+}
+
+TEST(FixedPointTest, Q32HalfwayRoundsUp)
+{
+    const int64_t half = int64_t{1} << 15;
+    EXPECT_EQ(Fixed::fromQ32((int64_t{3} << 16) + half).raw(), 4);
+    EXPECT_EQ(Fixed::fromQ32((int64_t{3} << 16) + half - 1).raw(), 3);
+    // Round half up, not away from zero: -3.5 quanta -> -3.
+    EXPECT_EQ(Fixed::fromQ32(-(int64_t{3} << 16) - half).raw(), -3);
+    EXPECT_EQ(Fixed::fromQ32(-(int64_t{3} << 16) - half - 1).raw(), -4);
+    // The multiplier rounds its Q32.32 product the same way.
+    const Fixed a = Fixed::fromRaw(3);
+    const Fixed b = Fixed::fromRaw(0x8000 + 0x10000 / 3);
+    EXPECT_EQ((a * b).raw(),
+              Fixed::fromQ32(int64_t{a.raw()} * b.raw()).raw());
+}
+
+TEST(FixedPointTest, WideHelpersSaturate)
+{
+    const int64_t big = int64_t{1} << 50;
+    EXPECT_EQ(Fixed::fromQ32(big), Fixed::max());
+    EXPECT_EQ(Fixed::fromQ32(-big), Fixed::min());
+    EXPECT_EQ(Fixed::fromAccumulator(big, 1), Fixed::max());
+    EXPECT_EQ(Fixed::fromAccumulator(-big, 1), Fixed::min());
+    EXPECT_EQ(Fixed::fromAccumulator(big, 128), Fixed::max());
+    EXPECT_EQ(Fixed::fromAccumulator(-big, 128), Fixed::min());
+    // The extremes themselves pass through unchanged.
+    const int64_t top = std::numeric_limits<int32_t>::max();
+    const int64_t bottom = std::numeric_limits<int32_t>::min();
+    EXPECT_EQ(Fixed::fromQ32(top << 16), Fixed::max());
+    EXPECT_EQ(Fixed::fromQ32(bottom * 65536), Fixed::min());
+    EXPECT_EQ(Fixed::fromAccumulator(top, 1), Fixed::max());
+    EXPECT_EQ(Fixed::fromAccumulator(bottom, 1), Fixed::min());
 }
 
 /** Property sweep: fixed arithmetic tracks double arithmetic. */
