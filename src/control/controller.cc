@@ -84,6 +84,7 @@ CrossEndController::CrossEndController(const EngineTopology &topology,
 {
     _config.validate();
     _placement = _generator.generate().placement;
+    _sensorCells = _placement.sensorCellCount();
     StatsRegistry::instance().add(controlStatIds().resolves);
     _report.enabled = true;
 }
@@ -135,7 +136,7 @@ CrossEndController::observe(const ControlTelemetry &telemetry)
     decision.atMs = telemetry.at.ms();
     // Quantize the channel observation: decisions become robust to
     // per-window sampling noise and the set of operating points the
-    // generator ever prices stays small (see _proposals).
+    // generator ever prices stays small (see _points).
     const double raw_scale =
         std::max(1.0, telemetry.meanAttemptsPerPacket);
     decision.observedScale =
@@ -164,32 +165,30 @@ CrossEndController::observe(const ControlTelemetry &telemetry)
     _generator.setEventRate(effective_rate);
     const auto key =
         std::make_pair(decision.observedScale, effective_rate);
-    auto cached = _proposals.find(key);
-    if (cached == _proposals.end()) {
+    auto cached = _points.find(key);
+    if (cached == _points.end()) {
         StatsRegistry::instance().add(controlStatIds().resolves);
         Placement best = _generator.generate().placement;
         const Energy price = _generator.objective(best);
-        cached = _proposals
-                     .emplace(key, CachedProposal{std::move(best),
-                                                  price})
+        cached = _points
+                     .emplace(key, OperatingPoint{std::move(best),
+                                                  price, std::nullopt})
                      .first;
     }
-    const Placement &proposal = cached->second.placement;
-    const Energy proposed = cached->second.objective;
-
-    auto priced = _currentObjectives.find(key);
-    if (priced == _currentObjectives.end()) {
-        priced = _currentObjectives
-                     .emplace(key, _generator.objective(_placement))
-                     .first;
+    OperatingPoint &point = cached->second;
+    const Placement &proposal = point.proposal;
+    const Energy proposed = point.proposed;
+    if (!point.active) {
+        size_t moved = 0;
+        for (size_t u = 1; u < _topology.graph.nodeCount(); ++u)
+            moved += _placement.inSensor(u) != proposal.inSensor(u);
+        point.active =
+            ActivePrice{_generator.objective(_placement), moved};
     }
-    const Energy current = priced->second;
+    const Energy current = point.active->objective;
+    const size_t moved = point.active->movedCells;
     decision.improvement =
         current.j() > 0.0 ? (current - proposed) / current : 0.0;
-
-    size_t moved = 0;
-    for (size_t u = 1; u < _topology.graph.nodeCount(); ++u)
-        moved += _placement.inSensor(u) != proposal.inSensor(u);
 
     StatsRegistry &sreg = StatsRegistry::instance();
     const ControlStatIds &sids = controlStatIds();
@@ -224,7 +223,9 @@ CrossEndController::observe(const ControlTelemetry &telemetry)
             decision.handoverUj = handover.sensorEnergy.uj();
             decision.handoverMs = handover.airTime.ms();
             _placement = proposal;
-            _currentObjectives.clear();
+            _sensorCells = _placement.sensorCellCount();
+            for (auto &entry : _points)
+                entry.second.active.reset();
             _everRepartitioned = true;
             _lastRepartition = telemetry.at;
             ++_report.repartitions;
@@ -237,7 +238,7 @@ CrossEndController::observe(const ControlTelemetry &telemetry)
         }
     }
 
-    decision.sensorCells = _placement.sensorCellCount();
+    decision.sensorCells = _sensorCells;
     ++_report.windows;
     sreg.add(sids.windows);
     if (_config.decisionTraceCap == 0 ||

@@ -39,6 +39,7 @@
 #define XPRO_CONTROL_CONTROLLER_HH
 
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -175,18 +176,27 @@ class CrossEndController
     ControlConfig _config;
     XProGenerator _generator;
     Placement _placement;
-    /** A solved operating point: the best cut and its price. */
-    struct CachedProposal
+    /** In-sensor cells of _placement (changes only on adoption). */
+    size_t _sensorCells = 0;
+    /** The active placement priced at one operating point. */
+    struct ActivePrice
     {
-        Placement placement;
         Energy objective;
+        /** Cells the point's proposal would move across ends. */
+        size_t movedCells = 0;
     };
-    /** Warm proposals per (quantized scale, effective rate)
-     *  operating point: repeats skip the generator sweep. */
-    std::map<std::pair<double, double>, CachedProposal> _proposals;
-    /** Price of the *active* placement per operating point;
-     *  invalidated whenever a re-partition is adopted. */
-    std::map<std::pair<double, double>, Energy> _currentObjectives;
+    /** A solved operating point: the best cut and its price, plus
+     *  the active placement's price (dropped on every adopted
+     *  re-partition). */
+    struct OperatingPoint
+    {
+        Placement proposal;
+        Energy proposed;
+        std::optional<ActivePrice> active;
+    };
+    /** Operating points by (quantized scale, effective rate):
+     *  repeats skip the generator sweep and every rescan. */
+    std::map<std::pair<double, double>, OperatingPoint> _points;
     size_t _dutyLevel = 0;
     bool _everRepartitioned = false;
     Time _lastRepartition;

@@ -1,12 +1,19 @@
 #include "core/energy_model.hh"
 
-#include "core/transfers.hh"
-
 namespace xpro
 {
 
 SensorEnergyBreakdown
 sensorEventEnergy(const EngineTopology &topology,
+                  const Placement &placement, const WirelessLink &link)
+{
+    return sensorEventEnergy(topology, broadcastGroups(topology),
+                             placement, link);
+}
+
+SensorEnergyBreakdown
+sensorEventEnergy(const EngineTopology &topology,
+                  const std::vector<BroadcastGroup> &groups,
                   const Placement &placement, const WirelessLink &link)
 {
     const DataflowGraph &graph = topology.graph;
@@ -21,7 +28,7 @@ sensorEventEnergy(const EngineTopology &topology,
     // Broadcast transfers: each producer payload crosses the link at
     // most once per direction, regardless of fan-out (the paper's
     // "grouped" source-data rule, applied to every producer).
-    for (const BroadcastGroup &group : broadcastGroups(topology)) {
+    for (const BroadcastGroup &group : groups) {
         bool consumer_in_sensor = false;
         bool consumer_in_aggregator = false;
         for (size_t v : group.consumers) {

@@ -15,8 +15,11 @@
 #ifndef XPRO_CORE_ENERGY_MODEL_HH
 #define XPRO_CORE_ENERGY_MODEL_HH
 
+#include <vector>
+
 #include "core/placement.hh"
 #include "core/topology.hh"
+#include "core/transfers.hh"
 #include "wireless/link.hh"
 
 namespace xpro
@@ -50,6 +53,16 @@ struct AggregatorEnergyBreakdown
 /** Sensor-node energy of one event under a placement. */
 SensorEnergyBreakdown
 sensorEventEnergy(const EngineTopology &topology,
+                  const Placement &placement, const WirelessLink &link);
+
+/**
+ * The same energy, priced through @p groups, which must be
+ * broadcastGroups(@p topology): callers that price many placements
+ * of one topology build the groups once.
+ */
+SensorEnergyBreakdown
+sensorEventEnergy(const EngineTopology &topology,
+                  const std::vector<BroadcastGroup> &groups,
                   const Placement &placement, const WirelessLink &link);
 
 /** Aggregator energy of one event under a placement. */

@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "common/worker_pool.hh"
-#include "core/transfers.hh"
 
 namespace xpro
 {
@@ -74,7 +73,8 @@ struct XProGenerator::SweepNetwork
 XProGenerator::XProGenerator(const EngineTopology &topology,
                              const WirelessLink &link,
                              const GeneratorOptions &options)
-    : _topology(topology), _link(link), _options(options)
+    : _topology(topology), _link(link), _options(options),
+      _groups(broadcastGroups(topology))
 {}
 
 XProGenerator::~XProGenerator() = default;
@@ -151,7 +151,7 @@ XProGenerator::sweep() const
     // generalizing the paper's dummy "D" node (for the raw source
     // data this construction *is* the paper's F -> D edge plus
     // infinite D -> consumer edges).
-    for (const BroadcastGroup &group : broadcastGroups(_topology)) {
+    for (const BroadcastGroup &group : _groups) {
         const TransferCost transfer = _link.transfer(group.bits);
 
         // Transmit dummy: if any consumer is in the aggregator while
@@ -301,7 +301,7 @@ XProGenerator::objective(const Placement &placement) const
     // wireless crossings at the observed channel scale, in-sensor
     // standby re-amortized at the observed event rate.
     const SensorEnergyBreakdown breakdown =
-        sensorEventEnergy(_topology, placement, _link);
+        sensorEventEnergy(_topology, _groups, placement, _link);
     // At the nominal scale keep total()'s summation order so the
     // static path stays bit-identical to the pre-adaptive objective.
     Energy value =
@@ -354,7 +354,7 @@ XProGenerator::generate() const
     // Unconstrained energy-optimal cut first.
     Placement best = minimumEnergyPlacement();
     SensorEnergyBreakdown best_energy =
-        sensorEventEnergy(_topology, best, _link);
+        sensorEventEnergy(_topology, _groups, best, _link);
     Energy best_objective = objective(best);
     DelayBreakdown best_delay = eventDelay(_topology, best, _link);
 
@@ -414,7 +414,7 @@ XProGenerator::generate() const
             }
         }
         xproAssert(found, "delay limit excludes every design");
-        best_energy = sensorEventEnergy(_topology, best, _link);
+        best_energy = sensorEventEnergy(_topology, _groups, best, _link);
     }
 
     result.placement = best;

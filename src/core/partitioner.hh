@@ -39,6 +39,7 @@
 #include "core/energy_model.hh"
 #include "core/delay_model.hh"
 #include "core/placement.hh"
+#include "core/transfers.hh"
 #include "graph/flow_network.hh"
 
 namespace xpro
@@ -204,6 +205,9 @@ class XProGenerator
     const EngineTopology &_topology;
     const WirelessLink &_link;
     GeneratorOptions _options;
+    /** broadcastGroups(_topology), built once: every cut build and
+     *  every placement price reads it. */
+    std::vector<BroadcastGroup> _groups;
     /** Runtime-adaptation state (applied to the sweep's edges). */
     double _transferScale = 1.0;
     double _eventsPerSecond = 0.0; ///< 0 = topology's design rate

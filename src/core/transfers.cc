@@ -1,6 +1,7 @@
 #include "core/transfers.hh"
 
-#include <map>
+#include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -12,17 +13,22 @@ broadcastGroups(const EngineTopology &topology)
 {
     const DataflowGraph &graph = topology.graph;
     std::vector<BroadcastGroup> groups;
+    // (payload bits, successor position) per out-edge of one
+    // producer; the keys are unique, so sorting them orders groups
+    // by bits and keeps each group's consumers in successor order.
+    std::vector<std::pair<size_t, size_t>> edges;
     for (size_t u = 0; u < graph.nodeCount(); ++u) {
-        std::map<size_t, BroadcastGroup> by_bits;
-        for (size_t v : graph.successors(u)) {
-            const size_t bits = graph.edgeBits(u, v);
-            BroadcastGroup &group = by_bits[bits];
-            group.producer = u;
-            group.bits = bits;
-            group.consumers.push_back(v);
+        const std::vector<size_t> &successors = graph.successors(u);
+        edges.clear();
+        for (size_t i = 0; i < successors.size(); ++i)
+            edges.emplace_back(graph.edgeBits(u, successors[i]), i);
+        std::sort(edges.begin(), edges.end());
+        const size_t first = groups.size();
+        for (const auto &[bits, i] : edges) {
+            if (groups.size() == first || groups.back().bits != bits)
+                groups.push_back({u, bits, {}});
+            groups.back().consumers.push_back(successors[i]);
         }
-        for (auto &[bits, group] : by_bits)
-            groups.push_back(std::move(group));
     }
     return groups;
 }

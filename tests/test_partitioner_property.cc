@@ -238,6 +238,89 @@ TEST_P(GeneratorPropertyTest, ParallelSweepMatchesSequential)
     }
 }
 
+/**
+ * The objective as priced from the standalone sensorEventEnergy(),
+ * which rebuilds the broadcast groups on every call: wireless terms
+ * at the channel @p scale, in-sensor standby re-amortized at
+ * @p rate (0 = design rate), plus the weighted aggregator software.
+ */
+Energy
+referenceObjective(const EngineTopology &topo, const Placement &p,
+                   double scale, double rate, double weight)
+{
+    const SensorEnergyBreakdown e = sensorEventEnergy(topo, p, link2);
+    Energy value = scale == 1.0 ? e.total()
+                                : e.compute + e.wireless() * scale;
+    if (rate > 0.0) {
+        Power standby;
+        for (size_t u = 1; u < topo.graph.nodeCount(); ++u) {
+            if (p.inSensor(u))
+                standby += topo.graph.node(u).costs.sensorStandby;
+        }
+        value += standby * Time::seconds(1.0 / rate -
+                                         1.0 / topo.designEventsPerSecond);
+    }
+    if (weight > 0.0) {
+        Energy software;
+        for (size_t u = 1; u < topo.graph.nodeCount(); ++u) {
+            if (!p.inSensor(u))
+                software += topo.graph.node(u).costs.aggregatorEnergy;
+        }
+        value += software * weight;
+    }
+    return value;
+}
+
+/**
+ * The generator prices placements through the broadcast-group table
+ * it builds once; at every channel scale, event rate and penalty
+ * weight the controller can set, that price equals the
+ * sensorEventEnergy()-based one bit for bit, including after warm
+ * re-solves at the new operating point.
+ */
+TEST_P(GeneratorPropertyTest, TableObjectiveMatchesSensorEnergyPricing)
+{
+    Rng rng(GetParam() + 500);
+    for (EngineTopology topo : {randomDag(rng), test::fanOutTopology()}) {
+        // Standby is baked into sensorEnergy at the design rate, as
+        // the characterized topologies carry it.
+        for (size_t u = 1; u < topo.graph.nodeCount(); ++u) {
+            CellCosts &costs = topo.graph.node(u).costs;
+            costs.sensorStandby = Power::micros(rng.uniform(0.0, 5.0));
+            costs.sensorEnergy +=
+                costs.sensorStandby *
+                Time::seconds(1.0 / topo.designEventsPerSecond);
+        }
+        GeneratorOptions options;
+        options.aggregatorEnergyWeight =
+            rng.chance(0.5) ? rng.uniform(0.1, 4.0) : 0.0;
+        XProGenerator gen(topo, link2, options);
+        double scale = 1.0;
+        double rate = 0.0;
+        for (size_t trial = 0; trial < 64; ++trial) {
+            if (trial > 0 && trial % 8 == 0) {
+                scale = 1.0 + 0.05 * static_cast<double>(rng.below(40));
+                rate = rng.uniform(0.5, 16.0);
+                gen.setTransferEnergyScale(scale);
+                gen.setEventRate(rate);
+                gen.generate();
+            }
+            std::vector<bool> in_sensor(topo.graph.nodeCount());
+            in_sensor[DataflowGraph::sourceId] = true;
+            for (size_t u = 1; u < in_sensor.size(); ++u)
+                in_sensor[u] = rng.chance(0.5);
+            const Placement p =
+                Placement::fromMask(topo, std::move(in_sensor));
+            EXPECT_EQ(gen.objective(p).j(),
+                      referenceObjective(topo, p, scale, rate,
+                                         options.aggregatorEnergyWeight)
+                          .j())
+                << "trial " << trial << " scale " << scale << " rate "
+                << rate;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorPropertyTest,
                          ::testing::Range(uint64_t{7000},
                                           uint64_t{7012}));
