@@ -33,6 +33,7 @@ runAdaptiveFleet(const FleetConfig &config,
 {
     xproAssert(run.control.enabled,
                "adaptive fleet pass with the controller disabled");
+    run.validate(trace); // before the design phase, not after
     FleetResult result = runFleet(config);
 
     ChannelModel channel;

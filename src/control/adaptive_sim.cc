@@ -328,12 +328,35 @@ runUntilDepleted(WindowedRun &run, const NonstationaryTrace &trace)
 
 } // namespace
 
+void
+AdaptiveRunConfig::validate(const NonstationaryTrace &trace) const
+{
+    control.validate();
+    if (maxPasses == 0)
+        fatal("an adaptive run needs at least one trace pass");
+    // Count the windows discretize() would emit without building
+    // them (the float division may round one window either way; the
+    // bound does not need to be exact).
+    const double period = control.repartitionPeriod.sec();
+    double windows = 0.0;
+    for (const ControlWindow &window : trace.windows)
+        windows += std::ceil(window.duration.sec() / period);
+    if (windows > static_cast<double>(maxWindowsPerPass)) {
+        fatal("a %g s control period chops the %g s trace into %.0f "
+              "windows per pass, more than the %zu allowed; use a "
+              "longer period",
+              period, trace.total().sec(), windows,
+              maxWindowsPerPass);
+    }
+}
+
 AdaptiveStreamResult
 simulateAdaptiveStream(const EngineTopology &topology,
                        const WirelessLink &link,
                        const NonstationaryTrace &trace,
                        const AdaptiveRunConfig &config)
 {
+    config.validate(trace);
     CrossEndController controller(topology, link, config.control);
     WindowedRun run(topology, link, config);
     run.controller = &controller;
@@ -348,6 +371,7 @@ simulateStaticStream(const EngineTopology &topology,
                      const NonstationaryTrace &trace,
                      const AdaptiveRunConfig &config)
 {
+    config.validate(trace);
     WindowedRun run(topology, link, config);
     run.setPlacement(placement);
     return runOnce(run, trace);
@@ -359,6 +383,7 @@ adaptiveLifetime(const EngineTopology &topology,
                  const NonstationaryTrace &trace,
                  const AdaptiveRunConfig &config)
 {
+    config.validate(trace);
     CrossEndController controller(topology, link, config.control);
     WindowedRun run(topology, link, config);
     run.controller = &controller;
@@ -372,6 +397,7 @@ staticLifetime(const EngineTopology &topology,
                const NonstationaryTrace &trace,
                const AdaptiveRunConfig &config)
 {
+    config.validate(trace);
     WindowedRun run(topology, link, config);
     run.setPlacement(placement);
     return runUntilDepleted(run, trace);

@@ -64,6 +64,23 @@ struct AdaptiveRunConfig
     size_t sampleCap = 128;
     /** Safety cap on trace passes in the lifetime loops. */
     size_t maxPasses = 4000;
+
+    /**
+     * Most control windows one pass of a trace may be chopped into.
+     * Every window of a pass is materialized before the first one
+     * runs, so a control period far shorter than the trace would
+     * exhaust memory instead of running.
+     */
+    static constexpr size_t maxWindowsPerPass = size_t{1} << 18;
+
+    /**
+     * Check the configuration against the trace it will play:
+     * panics on nonsense controller parameters (ControlConfig::
+     * validate()), fatal() when no trace pass is allowed or when the
+     * control period chops @p trace into more than
+     * maxWindowsPerPass windows.
+     */
+    void validate(const NonstationaryTrace &trace) const;
 };
 
 /** Outcome of playing a trace once. */

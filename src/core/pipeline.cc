@@ -15,10 +15,22 @@ TrainedPipeline::classify(const std::vector<double> &segment) const
     return ensemble.predict(scaler.transform(raw));
 }
 
+void
+TrainingOptions::validate() const
+{
+    if (!(trainFraction > 0.0 && trainFraction <= 1.0))
+        fatal("training fraction %g is outside (0, 1]", trainFraction);
+    if (maxTrainingSegments == 1) {
+        fatal("a training cap of 1 segment cannot train: SVM "
+              "training needs at least two samples");
+    }
+}
+
 TrainedPipeline
 trainPipeline(const SignalDataset &dataset, const EngineConfig &config,
               const TrainingOptions &options)
 {
+    options.validate();
     xproAssert(dataset.size() >= 8, "dataset too small to train on");
 
     TrainedPipeline pipeline;

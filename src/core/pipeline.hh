@@ -40,6 +40,13 @@ struct TrainingOptions
      * identical at any setting.
      */
     size_t mlWorkers = 1;
+
+    /**
+     * fatal() on options no training run can honor: a training
+     * fraction outside (0, 1], or a cap of one segment (an SVM needs
+     * at least two samples).
+     */
+    void validate() const;
 };
 
 /** A trained classification pipeline plus its quality numbers. */

@@ -110,4 +110,23 @@ TEST(PipelineTest, TinyDatasetIsRejected)
                  PanicError);
 }
 
+TEST(PipelineTest, UntrainableOptionsAreUserErrors)
+{
+    TrainingOptions options = quickOptions();
+    options.maxTrainingSegments = 2;
+    EXPECT_NO_THROW(options.validate());
+    // One segment cannot train an SVM: a clean fatal() before the
+    // feature pass, not the SVM's internal assertion.
+    options.maxTrainingSegments = 1;
+    EXPECT_THROW(options.validate(), FatalError);
+    const SignalDataset dataset = makeTestCase(TestCase::C1, 5);
+    EXPECT_THROW(trainPipeline(dataset, quickConfig(), options),
+                 FatalError);
+    options = quickOptions();
+    for (double fraction : {0.0, -0.5, 1.5}) {
+        options.trainFraction = fraction;
+        EXPECT_THROW(options.validate(), FatalError) << fraction;
+    }
+}
+
 } // namespace

@@ -273,6 +273,18 @@ checkBerFeasible(double ber, size_t segment_length)
     }
 }
 
+/** The adaptive run the controller flags describe. */
+AdaptiveRunConfig
+adaptiveRun(const ControlConfig &control, const FaultProfile &faults,
+            ProcessNode process)
+{
+    AdaptiveRunConfig run;
+    run.control = control;
+    run.faults = faults;
+    run.sensor.process = process;
+    return run;
+}
+
 int
 runFleetMode(size_t fleet_size, size_t workers,
              size_t sweep_workers, RadioPolicy policy, size_t events,
@@ -299,12 +311,8 @@ runFleetMode(size_t fleet_size, size_t workers,
                 fleet_size, workers);
     FleetResult result;
     if (control.enabled) {
-        AdaptiveRunConfig run;
-        run.control = control;
-        run.faults = faults;
-        run.sensor.process = process;
-        const NonstationaryTrace trace = NonstationaryTrace::day(seed);
-        result = runAdaptiveFleet(config, trace, run);
+        result = runAdaptiveFleet(config, NonstationaryTrace::day(seed),
+                                  adaptiveRun(control, faults, process));
     } else {
         result = runFleet(config);
     }
@@ -600,8 +608,15 @@ main(int argc, char **argv)
                   "need --fleet");
         }
         control.enabled = adaptive;
-        if (adaptive)
-            control.validate();
+        if (adaptive) {
+            adaptiveRun(control, faults, process)
+                .validate(NonstationaryTrace::day(seed));
+        }
+        TrainingOptions training;
+        training.maxTrainingSegments = max_train;
+        training.seed = seed;
+        training.mlWorkers = ml_workers;
+        training.validate();
 
         if (population_nodes > 0 && fleet_size > 0)
             fatal("--nodes and --fleet are mutually exclusive");
@@ -650,10 +665,6 @@ main(int argc, char **argv)
         config.process = process;
         config.wireless = wireless;
         config.subspace.candidates = candidates;
-        TrainingOptions options;
-        options.maxTrainingSegments = max_train;
-        options.seed = seed;
-        options.mlWorkers = ml_workers;
 
         std::printf("case %s (%s): %zu segments x %zu samples, "
                     "%.2f events/s\n",
@@ -662,7 +673,7 @@ main(int argc, char **argv)
                     dataset.eventsPerSecond());
 
         const TrainedPipeline pipeline =
-            trainPipeline(dataset, config, options);
+            trainPipeline(dataset, config, training);
         std::printf("classifier: %.1f%% held-out accuracy, %zu base "
                     "SVMs over %zu features\n",
                     100.0 * pipeline.testAccuracy,
@@ -723,10 +734,8 @@ main(int argc, char **argv)
         }
 
         if (adaptive) {
-            AdaptiveRunConfig run;
-            run.control = control;
-            run.faults = faults;
-            run.sensor.process = process;
+            const AdaptiveRunConfig run =
+                adaptiveRun(control, faults, process);
             const NonstationaryTrace day =
                 NonstationaryTrace::day(seed);
 
