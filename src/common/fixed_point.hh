@@ -53,25 +53,32 @@ class Fixed
 
     /**
      * Round a Q32.32 value -- a wide product or MAC sum -- to
-     * Q16.16: round half up, then saturate.
+     * Q16.16: round half up, then saturate. The half-up carry is the
+     * first dropped bit, so a saturated accumulator rounds without
+     * overflowing.
      */
     static constexpr Fixed
     fromQ32(int64_t q32)
     {
-        const int64_t rounding = int64_t{1} << (fracBits - 1);
-        return Fixed(saturate((q32 + rounding) >> fracBits));
+        const int64_t carry = (q32 >> (fracBits - 1)) & 1;
+        return Fixed(saturate((q32 >> fracBits) + carry));
     }
 
     /**
      * Divide a wide accumulator by a sample count, rounding half away
-     * from zero. The quotient keeps the accumulator's format.
+     * from zero. The quotient keeps the accumulator's format. Rounds
+     * from the remainder, so it is defined up to the register's
+     * limits.
      */
     static constexpr int64_t
     roundedQuotient(int64_t acc, size_t count)
     {
         const int64_t n = static_cast<int64_t>(count);
-        const int64_t half = acc >= 0 ? n / 2 : -(n / 2);
-        return (acc + half) / n;
+        const int64_t quotient = acc / n;
+        const int64_t remainder = acc % n;
+        if (2 * (remainder < 0 ? -remainder : remainder) < n)
+            return quotient;
+        return acc >= 0 ? quotient + 1 : quotient - 1;
     }
 
     /**
@@ -82,6 +89,25 @@ class Fixed
     fromAccumulator(int64_t acc_raw, size_t count)
     {
         return Fixed(saturate(roundedQuotient(acc_raw, count)));
+    }
+
+    /**
+     * Wide-accumulator add: @p acc + @p term, saturated to the
+     * 64-bit register. The sum is formed in 128 bits, so a term as
+     * wide as the square of a full-scale raw difference (up to
+     * 2^64) adds with defined behaviour, and a running sum that
+     * would leave int64 (a few full-scale Q32.32 squares) pins at
+     * the register's limit instead of overflowing.
+     */
+    static constexpr int64_t
+    addWide(int64_t acc, __int128 term)
+    {
+        const __int128 sum = acc + term;
+        if (sum > std::numeric_limits<int64_t>::max())
+            return std::numeric_limits<int64_t>::max();
+        if (sum < std::numeric_limits<int64_t>::min())
+            return std::numeric_limits<int64_t>::min();
+        return static_cast<int64_t>(sum);
     }
 
     /** Largest representable value. */

@@ -45,12 +45,13 @@ class SerialAluSim
         return acc + value.raw();
     }
 
-    /** Wide-accumulator add of a Q32.32 product term. */
+    /** Wide-accumulator add of a Q32.32 product term,
+     *  saturating at the register's limits. */
     int64_t
     accumulateWide(int64_t acc, int64_t term_q32)
     {
         issue(AluOp::Add);
-        return acc + term_q32;
+        return Fixed::addWide(acc, term_q32);
     }
 
     Fixed

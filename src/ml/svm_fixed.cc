@@ -69,13 +69,15 @@ FixedSvm::decision(const std::vector<Fixed> &x) const
     // round once at the end, like the fusion adder tree.
     int64_t acc_raw = _bias.raw();
     for (size_t k = 0; k < _supportVectors.size(); ++k) {
-        // Squared distance with a wide accumulator (Q32.32).
+        // Squared distance with a saturating wide accumulator
+        // (Q32.32). A full-scale difference squares to nearly 2^64,
+        // so each square is formed in 128 bits.
         int64_t dist_q32 = 0;
         const std::vector<Fixed> &sv = _supportVectors[k];
         for (size_t d = 0; d < _dimension; ++d) {
-            const int64_t diff =
+            const __int128 diff =
                 static_cast<int64_t>(x[d].raw()) - sv[d].raw();
-            dist_q32 += diff * diff;
+            dist_q32 = Fixed::addWide(dist_q32, diff * diff);
         }
         const Fixed dist = Fixed::fromQ32(dist_q32);
 

@@ -170,6 +170,89 @@ TEST(FixedSvmTest, LinearKernelIsRejected)
     EXPECT_THROW(FixedSvm{model}, PanicError);
 }
 
+// --- full-scale wide accumulators ---------------------------------
+
+/**
+ * The Var cell's value recomputed with the squares summed exactly in
+ * 128 bits and saturated once: every term is non-negative, so this
+ * is what the saturating running sum must produce.
+ */
+Fixed
+saturatedVarReference(const std::vector<Fixed> &input)
+{
+    const Fixed mu = computeFixedFeature(FeatureKind::Mean, input);
+    __int128 sum = 0;
+    for (Fixed v : input) {
+        const int64_t d = (v - mu).raw();
+        sum += static_cast<__int128>(d) * d;
+    }
+    const int64_t acc = Fixed::addWide(0, sum);
+    return Fixed::fromQ32(Fixed::roundedQuotient(acc, input.size()));
+}
+
+/**
+ * Full-scale inputs: deviations near 2^31 square to ~2^62, so the
+ * second-moment sums leave int64 after a few terms. The wide add
+ * saturates instead of overflowing (clean under UBSan), the moments
+ * pin at the top of the Q16.16 range, and a mixed-sign full-scale
+ * Skew/Kurt run stays defined.
+ */
+TEST(FixedWideAccumulatorTest, FullScaleMomentsSaturate)
+{
+    Rng rng(4242);
+    for (int trial = 0; trial < 200; ++trial) {
+        const size_t n = 2 + rng.below(63);
+        std::vector<Fixed> input(n);
+        for (Fixed &v : input) {
+            const double pick = rng.uniform(0.0, 1.0);
+            v = pick < 0.2   ? Fixed::max()
+                : pick < 0.4 ? Fixed::min()
+                             : Fixed::fromRaw(static_cast<int32_t>(
+                                   rng.below(uint64_t{1} << 32) -
+                                   (uint64_t{1} << 31)));
+        }
+        const Fixed var = computeFixedFeature(FeatureKind::Var, input);
+        EXPECT_EQ(var, saturatedVarReference(input)) << "trial " << trial;
+        EXPECT_GE(var.raw(), 0);
+        EXPECT_EQ(computeFixedFeature(FeatureKind::Std, input),
+                  var.sqrt());
+        EXPECT_GE(computeFixedFeature(FeatureKind::Kurt, input).raw(), 0);
+        computeFixedFeature(FeatureKind::Skew, input);
+    }
+    // Alternating extremes: the sum passes 2^63 after two squares.
+    std::vector<Fixed> extremes;
+    for (int i = 0; i < 8; ++i)
+        extremes.push_back(i % 2 ? Fixed::min() : Fixed::max());
+    EXPECT_EQ(computeFixedFeature(FeatureKind::Var, extremes),
+              Fixed::max());
+}
+
+/**
+ * A point at the far end of the Q16.16 range from every support
+ * vector: one coordinate's difference squares past int64 on its own.
+ * The saturated distance reads as infinitely far, so every kernel
+ * term is zero and the decision is exactly the bias.
+ */
+TEST(FixedWideAccumulatorTest, FullScaleSvmDistanceSaturates)
+{
+    Rng rng(4243);
+    LabeledData data;
+    for (int i = 0; i < 40; ++i) {
+        const bool positive = i % 2 == 0;
+        const std::vector<double> row = {
+            rng.gaussian(positive ? 30000.0 : -30000.0, 1.0)};
+        data.rows.push_back(row);
+        data.labels.push_back(positive ? 1 : -1);
+    }
+    SvmConfig config;
+    config.kernel = {KernelKind::Rbf, 1.0};
+    const Svm model = Svm::train(data, config);
+    const FixedSvm fixed(model);
+    const Fixed bias = Fixed::fromDouble(model.bias());
+    EXPECT_EQ(fixed.decision({Fixed::max()}), bias);
+    EXPECT_EQ(fixed.decision({Fixed::min()}), bias);
+}
+
 TEST(FixedPipelineTest, EndToEndAgreementOnRealCase)
 {
     // The headline hardware-faithfulness check: quantize a trained

@@ -172,6 +172,27 @@ TEST(FixedPointTest, WideHelpersSaturate)
     EXPECT_EQ(Fixed::fromAccumulator(bottom, 1), Fixed::min());
 }
 
+TEST(FixedPointTest, WideAddAndReadoutsAreDefinedAtTheLimits)
+{
+    const int64_t top = std::numeric_limits<int64_t>::max();
+    const int64_t bottom = std::numeric_limits<int64_t>::min();
+    EXPECT_EQ(Fixed::addWide(top, 1), top);
+    EXPECT_EQ(Fixed::addWide(bottom, -1), bottom);
+    EXPECT_EQ(Fixed::addWide(top, -top), 0);
+    // The square of a full-scale raw difference (~2^64) in one term.
+    const __int128 diff = int64_t{1} << 32;
+    EXPECT_EQ(Fixed::addWide(0, diff * diff), top);
+    EXPECT_EQ(Fixed::addWide(bottom, diff * diff), top);
+    // Saturated accumulators read out without overflowing.
+    EXPECT_EQ(Fixed::fromQ32(top), Fixed::max());
+    EXPECT_EQ(Fixed::fromQ32(bottom), Fixed::min());
+    EXPECT_EQ(Fixed::roundedQuotient(top, 2), int64_t{1} << 62);
+    EXPECT_EQ(Fixed::roundedQuotient(bottom, 2), bottom / 2);
+    EXPECT_EQ(Fixed::roundedQuotient(bottom, 1), bottom);
+    EXPECT_EQ(Fixed::fromAccumulator(top, 3), Fixed::max());
+    EXPECT_EQ(Fixed::fromAccumulator(bottom, 3), Fixed::min());
+}
+
 /** Property sweep: fixed arithmetic tracks double arithmetic. */
 class FixedPointPropertyTest : public ::testing::TestWithParam<uint64_t>
 {
